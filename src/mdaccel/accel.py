@@ -160,24 +160,22 @@ def _dephase_block(surface, params, definition, state, labeler, anchors,
     """Batched rejection dephasing; lane i restarts at anchors[i] on exit."""
     batch = OverdampedBatch(surface, params, anchors.copy(), gens)
     L = anchors.shape[0]
-    ok = np.zeros(L, dtype=np.int64)
-    done = np.zeros(L, dtype=bool)
+    ok = np.zeros(L, dtype=np.int64)  # consecutive in-state steps per lane
+    idx = np.arange(L)  # lanes still dephasing
     restarts = 0
-    while not np.all(done):
-        idx = np.flatnonzero(~done)
-        batch.step(idx)
-        labels = labeler(batch.x[idx])
-        exited = exit_mask(labels, state, definition)
-        bad = idx[exited]
-        restarts += bad.size
-        if restarts > budget_per_lane * L:
-            raise AccelBudgetError("dephasing restart budget exhausted")
-        if bad.size:
+    while idx.size:
+        exited = exit_mask(labeler(batch.step(idx)), state, definition)
+        ok[idx] += 1
+        if exited.any():
+            bad = idx[exited]
+            restarts += bad.size
+            if restarts > budget_per_lane * L:
+                raise AccelBudgetError("dephasing restart budget exhausted")
             batch.x[bad] = anchors[bad]
             ok[bad] = 0
-        good = idx[~exited]
-        ok[good] += 1
-        done[good[ok[good] >= n_tau]] = True
+        finished = ok[idx] >= n_tau
+        if finished.any():
+            idx = idx[~finished]
     return batch.x
 
 
@@ -236,13 +234,14 @@ def parrep_exit_many(
             batch = OverdampedBatch(surface, params,
                                     np.stack([_cycled(init, int(e)) for e in events]), gens)
             active = np.ones(B, dtype=bool)
+            idx = np.arange(B)
             for k in range(1, n_corr + 1):
-                idx = np.flatnonzero(active)
                 if idx.size == 0:
                     break
-                batch.step(idx)
-                lab = labeler(batch.x[idx])
+                lab = labeler(batch.step(idx))
                 exited = exit_mask(lab, state, definition)
+                if not exited.any():
+                    continue
                 for j, new_label in zip(idx[exited], lab[exited]):
                     e = int(events[j])
                     times[e] = k * dt
@@ -250,6 +249,7 @@ def parrep_exit_many(
                     labels_out[e] = attribute_exit_region(batch.x[j], int(new_label), geometry)
                     wall[e] += k
                     active[j] = False
+                idx = np.flatnonzero(active)
             surv = np.flatnonzero(active)
             survivors = [int(events[j]) for j in surv]
             ref_end[surv] = batch.x[surv]
@@ -300,17 +300,16 @@ def parrep_exit_many(
         lane_event = np.repeat(np.array(survivors), N)
         lane_rep = np.tile(np.arange(N), len(survivors))
         active = np.ones(batch.n, dtype=bool)
+        idx = np.arange(batch.n)
         pending = set(survivors)
         m = 0
         while pending:
             m += 1
             if m * N > config.max_steps:
                 raise AccelBudgetError("parallel step budget exhausted")
-            idx = np.flatnonzero(active)
-            batch.step(idx)
-            lab = labeler(batch.x[idx])
+            lab = labeler(batch.step(idx))
             exited = exit_mask(lab, state, definition)
-            if not np.any(exited):
+            if not exited.any():
                 continue
             hit_events = {}
             for j, new_label in zip(idx[exited], lab[exited]):
@@ -330,6 +329,8 @@ def parrep_exit_many(
                 wall[e] += N * m
                 pending.discard(e)
                 active[lane_event == e] = False
+            if hit_events:
+                idx = np.flatnonzero(active)
 
     stats = ExitStatistics(times, points, labels_out)
     return stats, {"parallel_sweeps": sweeps, "winner_index": winners, "wall_steps": wall}
@@ -415,17 +416,19 @@ def hyper_exit_many(
         gens = [substream(master_seed, seed_namespace, int(e), 1) for e in events]
         batch = OverdampedBatch(hot, params, starts, gens)
         sumexp = np.zeros(B)
-        steps = np.zeros(B, dtype=np.int64)
         active = np.ones(B, dtype=bool)
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            batch.step(idx)
-            steps[idx] += 1
-            if int(steps[idx].max()) > config.max_steps:
+        idx = np.arange(B)
+        k = 0  # every active lane has taken k biased steps
+        while idx.size:
+            xi = batch.step(idx)
+            k += 1
+            if k > config.max_steps:
                 raise AccelBudgetError("biased run budget exhausted")
-            sumexp[idx] += np.exp(beta * config.bias.energy(batch.x[idx]))
-            lab = labeler(batch.x[idx])
+            sumexp[idx] += np.exp(beta * config.bias.energy(xi))
+            lab = labeler(xi)
             exited = exit_mask(lab, state, definition)
+            if not exited.any():
+                continue
             for j, new_label in zip(idx[exited], lab[exited]):
                 e = int(events[j])
                 dv = float(config.bias.energy(batch.x[j]))
@@ -433,11 +436,12 @@ def hyper_exit_many(
                     raise InvalidBiasError(
                         "bias is %g at the exit point %s" % (dv, batch.x[j]))
                 times[e] = dt * sumexp[j]
-                boosts[e] = sumexp[j] / steps[j]
+                boosts[e] = sumexp[j] / k
                 points[e] = batch.x[j]
                 labels_out[e] = attribute_exit_region(batch.x[j], int(new_label), geometry)
-                wall[e] += steps[j]
+                wall[e] += k
                 active[j] = False
+            idx = np.flatnonzero(active)
 
     stats = ExitStatistics(times, points, labels_out)
     return stats, {"boosts": boosts, "wall_steps": wall}
@@ -527,26 +531,25 @@ def tad_exit_many(
         gens = [substream(master_seed, seed_namespace, int(e), 0) for e in events]
         batch = OverdampedBatch(surface, hot,
                                 np.stack([_cycled(init, int(e)) for e in events]), gens)
-        steps = np.zeros(B, dtype=np.int64)
         best_t = np.full(B, np.inf)
         best_region = np.full(B, -1, dtype=np.int64)
         best_point = np.zeros((B, dim))
         seen = np.zeros((B, n_regions), dtype=bool)
         active = np.ones(B, dtype=bool)
-        prev = batch.x.copy()
+        idx = np.arange(B)
+        k = 0  # every active lane has taken k high-temperature steps
 
-        while np.any(active):
-            idx = np.flatnonzero(active)
-            prev[idx] = batch.x[idx]
-            batch.step(idx)
-            steps[idx] += 1
-            if int(steps[idx].max()) > config.max_steps:
+        while idx.size:
+            prev = batch.x[idx]
+            lab = labeler(batch.step(idx))
+            k += 1
+            if k > config.max_steps:
                 raise AccelBudgetError("high-temperature budget exhausted")
-            lab = labeler(batch.x[idx])
             exited = exit_mask(lab, state, definition)
-            for j, new_label in zip(idx[exited], lab[exited]):
+            for p in np.flatnonzero(exited):
+                j, new_label = idx[p], lab[p]
                 region = attribute_exit_region(batch.x[j], int(new_label), geometry)
-                t_hi = steps[j] * dt
+                t_hi = k * dt
                 if not seen[j, region]:
                     seen[j, region] = True
                     t_lo = thetas[region] * t_hi
@@ -561,25 +564,27 @@ def tad_exit_many(
                     if not exit_mask(labeler(reflected), state, definition)[0]:
                         batch.x[j] = reflected[0]
                     else:
-                        batch.x[j] = prev[j]
+                        batch.x[j] = prev[p]
                 else:
-                    batch.x[j] = prev[j]
+                    batch.x[j] = prev[p]
             # stopping check (vectorized over the still-active lanes)
             have = idx[np.isfinite(best_t[idx])]
             if have.size:
                 if config.exhaustive:
                     stop = have[seen[have].all(axis=1)]
                 else:
-                    bound = _tad_stop_bound(steps[have] * dt, config)
+                    bound = _tad_stop_bound(np.full(have.size, k * dt), config)
                     stop = have[bound > best_t[have]]
-                for j in stop:
-                    e = int(events[j])
-                    times[e] = best_t[j]
-                    points[e] = best_point[j]
-                    labels_out[e] = best_region[j]
-                    t_hi_out[e] = steps[j] * dt
-                    wall[e] = steps[j]
-                    active[j] = False
+                if stop.size:
+                    for j in stop:
+                        e = int(events[j])
+                        times[e] = best_t[j]
+                        points[e] = best_point[j]
+                        labels_out[e] = best_region[j]
+                        t_hi_out[e] = k * dt
+                        wall[e] = k
+                        active[j] = False
+                    idx = np.flatnonzero(active)
 
     stats = ExitStatistics(times, points, labels_out)
     return stats, {"t_hi": t_hi_out, "wall_steps": wall}
@@ -615,8 +620,7 @@ def direct_exit(state: int, entry: np.ndarray, surface: PotentialSurface,
     gen = substream(master_seed, seed_namespace, 0)
     batch = OverdampedBatch(surface, params, np.atleast_2d(entry), [gen])
     for k in range(1, max_steps + 1):
-        batch.step()
-        lab = labeler(batch.x)
+        lab = labeler(batch.step())
         if exit_mask(lab, state, definition)[0]:
             region = attribute_exit_region(batch.x[0], int(lab[0]), geometry)
             return ExitEvent(k * params.dt, batch.x[0].copy(), region, k)

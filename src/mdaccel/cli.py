@@ -75,6 +75,25 @@ def load_config(path: str) -> dict:
     return {s: dict(cp[s]) for s in cp.sections()}
 
 
+_REQUIRED = object()
+
+
+def _number(cfg: dict, section: str, key: str, kind=float, default=_REQUIRED):
+    """``cfg[section][key]`` as a float (or ``kind``), ``default`` when the
+    key is absent; missing required and malformed values are config errors
+    that name the key."""
+    text = cfg[section].get(key)
+    if text is None:
+        if default is _REQUIRED:
+            raise _fail(section, key, "required")
+        return default
+    try:
+        return kind(text)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise _fail(section, key, "expected %s, got %r" % (what, text)) from exc
+
+
 def _floats(text: str, section: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in text.replace(",", " ").split()]
@@ -89,20 +108,18 @@ def _build(cfg: dict, seed_override: Optional[int]):
         raise _fail("surface", "name", "unknown surface %r (choices: %s)"
                     % (name, ", ".join(sorted(SURFACE_FACTORIES))))
     kwargs = {}
-    for key, val in s.items():
+    for key in s:
         if key == "name":
             continue
-        kwargs[key] = int(val) if key == "dim" else float(val)
+        kwargs[key] = _number(cfg, "surface", key, int if key == "dim" else float)
     try:
         surface = SURFACE_FACTORIES[name](**kwargs)
     except TypeError as exc:
         raise _fail("surface", "name", "bad arguments for %s: %s" % (name, exc)) from exc
 
-    d = cfg["dynamics"]
+    beta, dt = _number(cfg, "dynamics", "beta"), _number(cfg, "dynamics", "dt")
     try:
-        params = DynamicsParams(beta=float(d["beta"]), dt=float(d["dt"]))
-    except KeyError as exc:
-        raise _fail("dynamics", exc.args[0], "required") from exc
+        params = DynamicsParams(beta=beta, dt=dt)
     except ValueError as exc:
         raise _fail("dynamics", "beta/dt", str(exc)) from exc
 
@@ -111,6 +128,7 @@ def _build(cfg: dict, seed_override: Optional[int]):
     if kind not in (BASIN, CORE_SET, EXPLICIT_REGION):
         raise _fail("state", "kind", "unknown kind %r" % kind)
     registry = MinimaRegistry()
+    scan = None
     if kind == BASIN:
         if "scan_box" not in st:
             raise _fail("state", "scan_box", "required for basin states")
@@ -119,6 +137,9 @@ def _build(cfg: dict, seed_override: Optional[int]):
             raise _fail("state", "scan_box", "need %d numbers" % (2 * surface.dim))
         scan_box = [tuple(box[2 * i:2 * i + 2]) for i in range(surface.dim)]
         definition = StateDefinition(kind=BASIN, scan_box=scan_box)
+        if surface.dim == 1:
+            # one scan serves the labeler, the minima and their geometries
+            scan = find_critical_points(surface, scan_box, grid=definition.scan_grid)
     else:
         if "regions" not in st:
             raise _fail("state", "regions", "required for %s states" % kind)
@@ -133,7 +154,7 @@ def _build(cfg: dict, seed_override: Optional[int]):
                 raise _fail("state", "regions", "each region needs %d numbers"
                             % (2 * surface.dim))
         definition = StateDefinition(kind=kind, regions=regions)
-    labeler = make_labeler(surface, definition, registry)
+    labeler = make_labeler(surface, definition, registry, critical_points=scan)
 
     if "start" not in st:
         raise _fail("state", "start", "required")
@@ -147,50 +168,58 @@ def _build(cfg: dict, seed_override: Optional[int]):
         raise _fail("method", "name", "unknown method %r" % method)
     mcfg = None
     if method == "parrep":
-        mcfg = ParRepConfig(
-            n_replicas=int(m.get("n_replicas", 8)),
-            tau_corr=float(m.get("tau_corr", 0.0)),
-            dephasing=m.get("dephasing", "rejection"),
-        )
+        if m.get("tau_corr") == "adaptive":
+            raise _fail("method", "tau_corr", "adaptive decorrelation cannot be run from "
+                        "the command line yet; give a time")
+        try:
+            mcfg = ParRepConfig(
+                n_replicas=_number(cfg, "method", "n_replicas", int, 8),
+                tau_corr=_number(cfg, "method", "tau_corr", default=0.0),
+                dephasing=m.get("dephasing", "rejection"),
+            )
+        except ValueError as exc:
+            raise _fail("method", "n_replicas/dephasing", str(exc)) from exc
     elif method == "hyper":
         for key in ("bias_center", "bias_width", "bias_height"):
             if key not in m:
                 raise _fail("method", key, "required for hyper")
         bias = make_bump_bias(_floats(m["bias_center"], "method", "bias_center"),
-                              float(m["bias_width"]), float(m["bias_height"]))
-        mcfg = HyperConfig(bias=bias, tau_corr=float(m.get("tau_corr", 0.0)),
+                              _number(cfg, "method", "bias_width"),
+                              _number(cfg, "method", "bias_height"))
+        mcfg = HyperConfig(bias=bias, tau_corr=_number(cfg, "method", "tau_corr", default=0.0),
                            equilibrate=m.get("equilibrate", "yes").lower()
                            in ("1", "yes", "true", "on"))
     elif method == "tad":
         if "beta_hi" not in m:
             raise _fail("method", "beta_hi", "required for tad")
+        beta_hi = _number(cfg, "method", "beta_hi")
+        min_prefactor = _number(cfg, "method", "min_prefactor", default=None)
+        min_barrier = _number(cfg, "method", "min_barrier", default=None)
         try:
             mcfg = TadConfig(
-                beta_hi=float(m["beta_hi"]),
+                beta_hi=beta_hi,
                 beta_lo=params.beta,
                 theta_variant=m.get("theta_variant", "plain"),
-                min_prefactor=float(m["min_prefactor"]) if "min_prefactor" in m else None,
-                min_barrier=float(m["min_barrier"]) if "min_barrier" in m else None,
+                min_prefactor=min_prefactor,
+                min_barrier=min_barrier,
                 bounce=m.get("bounce", "reflect"),
             )
         except Exception as exc:
             raise _fail("method", "beta_hi/bounds", str(exc)) from exc
 
     r = cfg["run"]
-    if "horizon" not in r:
-        raise _fail("run", "horizon", "required")
-    horizon = float(r["horizon"])
-    seed = seed_override if seed_override is not None else int(r.get("seed", 0))
+    horizon = _number(cfg, "run", "horizon")
+    seed = seed_override if seed_override is not None else _number(cfg, "run", "seed", int, 0)
 
     geometries = {}
     if surface.dim == 1:
         if kind == BASIN:
             box = definition.scan_box[0]
-            pts = find_critical_points(surface, [box], grid=definition.scan_grid)
-            for p in pts:
+            for p in scan:
                 if p.kind == "min":
                     label = registry.register(p.position)
-                    geometries[label] = basin_geometry_1d(surface, p.position, box)
+                    geometries[label] = basin_geometry_1d(surface, p.position, box,
+                                                          critical_points=scan)
         else:
             for i, (a, b) in enumerate(definition.regions):
                 geometries[i] = interval_state_geometry(surface, a, b)

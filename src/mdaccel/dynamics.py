@@ -140,7 +140,7 @@ def step_langevin(walker: WalkerState, surface: PotentialSurface,
 class _LaneNoise:
     """Chunked per-lane normal buffers; a lane's draw sequence is fixed."""
 
-    __slots__ = ("gens", "dim", "chunk", "buf", "pos")
+    __slots__ = ("gens", "dim", "chunk", "buf", "pos", "lanes")
 
     def __init__(self, gens: Sequence[np.random.Generator], dim: int, chunk: int = NOISE_CHUNK):
         self.gens = list(gens)
@@ -149,15 +149,25 @@ class _LaneNoise:
         n = len(self.gens)
         self.buf = np.empty((n, chunk, dim))
         self.pos = np.full(n, chunk, dtype=np.int64)  # empty -> refill on first draw
+        self.lanes = np.arange(n)
 
-    def draw(self, idx: np.ndarray) -> np.ndarray:
-        """Next normal vector for each lane in ``idx``; refills lazily."""
-        need = idx[self.pos[idx] >= self.chunk]
-        for i in need:
-            self.buf[i] = self.gens[i].standard_normal((self.chunk, self.dim))
-            self.pos[i] = 0
-        out = self.buf[idx, self.pos[idx], :]
-        self.pos[idx] += 1
+    def draw(self, idx: Optional[np.ndarray] = None) -> np.ndarray:
+        """Next normal vector for each lane in ``idx`` (default all); refills
+        a lane's chunk only when it is used up."""
+        if idx is None:
+            idx, pos = self.lanes, self.pos  # updates land in self.pos itself
+        else:
+            pos = self.pos[idx]
+        if pos.max() >= self.chunk:
+            for j in np.flatnonzero(pos >= self.chunk):
+                i = idx[j]
+                self.buf[i] = self.gens[i].standard_normal((self.chunk, self.dim))
+                pos[j] = 0
+        out = self.buf[idx, pos]
+        if pos is self.pos:
+            pos += 1
+        else:
+            self.pos[idx] = pos + 1
         return out
 
     def reset_lane(self, i: int, gen: np.random.Generator) -> None:
@@ -170,7 +180,9 @@ class OverdampedBatch:
 
     Lanes advance together but each owns its stream, so results are
     identical to stepping each walker alone (the scheduling-independence
-    contract for the concurrent algorithms).
+    contract for the concurrent algorithms).  A call that steps every lane
+    (``idx`` omitted, or equal to ``arange(n)``) skips the gather and
+    scatter of the indexed path and is bit-identical to it.
     """
 
     def __init__(self, surface: PotentialSurface, params: DynamicsParams,
@@ -184,7 +196,9 @@ class OverdampedBatch:
             raise ValueError("one generator per lane required")
         self.noise = _LaneNoise(gens, surface.dim)
         self.steps = np.zeros(self.x.shape[0], dtype=np.int64)
-        self._all = np.arange(self.x.shape[0])
+        self._all = self.noise.lanes
+        self._dt = params.dt
+        self._noise_scale = params.noise_scale
 
     @property
     def n(self) -> int:
@@ -192,19 +206,29 @@ class OverdampedBatch:
 
     def step(self, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Advance the lanes in ``idx`` (default all); returns their new positions."""
+        if idx is not None:
+            if idx.size == 0:
+                return self.x[idx]
+            if idx.shape[0] == self._all.shape[0] and (idx == self._all).all():
+                idx = None
         if idx is None:
-            idx = self._all
-        if idx.size == 0:
-            return self.x[idx]
-        xi = self.x[idx]
-        xi = (xi - self.surface.grad(xi) * self.params.dt
-              + self.params.noise_scale * self.noise.draw(idx))
-        if not np.all(np.isfinite(xi)):
-            bad = idx[~np.all(np.isfinite(xi), axis=1)][0]
+            xi = self.x
+        else:
+            xi = self.x[idx]
+        xi = (xi - self.surface.grad(xi) * self._dt
+              + self._noise_scale * self.noise.draw(idx))
+        finite = np.isfinite(xi)
+        if not finite.all():
+            lanes = self._all if idx is None else idx
+            bad = lanes[~finite.all(axis=1)][0]
             raise IntegratorDivergenceError(
-                WalkerState(self.x[bad], self.noise.gens[bad], clock=self.steps[bad] * self.params.dt))
-        self.x[idx] = xi
-        self.steps[idx] += 1
+                WalkerState(self.x[bad], self.noise.gens[bad], clock=self.steps[bad] * self._dt))
+        if idx is None:
+            self.x[...] = xi
+            self.steps += 1
+        else:
+            self.x[idx] = xi
+            self.steps[idx] += 1
         return xi
 
     def restart_lane(self, i: int, position: np.ndarray,

@@ -6,6 +6,9 @@
 - Brute-force direct-simulation exit statistics, batched across events
   with one stream per event.
 - Statistical test helpers (KS, chi-square, contingency independence).
+
+scipy is imported inside the functions that use it, so that importing
+the package (and ``mdaccel run``, which never needs scipy) stays cheap.
 """
 
 from __future__ import annotations
@@ -15,10 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
-import scipy.stats
 
 from .dynamics import DynamicsParams, OverdampedBatch, substream
 from .potentials import PotentialSurface, StateGeometry
@@ -97,6 +96,8 @@ def _solve_1d(surface: PotentialSurface, lo: float, hi: float,
     diag = -(np.exp(beta * (V[1:-1] - Vmid[:-1])) +
              np.exp(beta * (V[1:-1] - Vmid[1:]))) / (beta * h * h)
     m = n - 1
+    import scipy.linalg
+
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(
             diag, off, select="i", select_range=(m - 2, m - 1))
@@ -162,6 +163,9 @@ def _solve_2d(surface: PotentialSurface, box, beta: float, h: float) -> Spectral
         inner_pts = grid_pts.reshape(-1, 2)[inner]
         w = edge_weight(inner_pts, side_pts)
         np.add.at(diag, inner, -w)
+
+    import scipy.sparse
+    import scipy.sparse.linalg
 
     S = scipy.sparse.coo_matrix(
         (np.concatenate(vals + [diag]),
@@ -373,10 +377,14 @@ _MIN_EXPECTED = 5.0
 
 def ks_test(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """One-sample Kolmogorov-Smirnov p-value against a fully specified CDF."""
+    import scipy.stats
+
     return float(scipy.stats.kstest(np.asarray(samples, dtype=float), cdf).pvalue)
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
+    import scipy.stats
+
     return float(scipy.stats.ks_2samp(a, b).pvalue)
 
 
@@ -390,11 +398,15 @@ def chi_square(counts: Sequence[float], expected: Sequence[float]) -> float:
         raise TestInapplicableError("expected count below %g" % _MIN_EXPECTED)
     if np.allclose(counts, expected):
         return 1.0
+    import scipy.stats
+
     return float(scipy.stats.chisquare(counts, expected).pvalue)
 
 
 def contingency_independence(table: np.ndarray) -> float:
     """Chi-square independence p-value for a contingency table."""
+    import scipy.stats
+
     table = np.asarray(table, dtype=float)
     res = scipy.stats.chi2_contingency(table)
     if np.any(res.expected_freq < _MIN_EXPECTED):

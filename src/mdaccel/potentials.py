@@ -8,7 +8,7 @@ oracles), since harmonic prefactors need accurate determinants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -529,17 +529,21 @@ def basin_geometry_1d(
     minimum,
     box: tuple[float, float],
     grid: int = 200,
+    critical_points: Optional[Sequence[CriticalPoint]] = None,
 ) -> StateGeometry:
     """Geometry of the basin of attraction of ``minimum``: adjacent saddles.
 
     The basin of a 1d gradient flow is the open interval between the
     neighboring index-1 saddles (or +-infinity when there is none inside
-    the scan box).
+    the scan box).  ``critical_points`` passes in the scan of ``box`` at
+    ``grid`` when the caller already has it.
     """
     if surface.dim != 1:
         raise ValueError("basin_geometry_1d is one-dimensional")
     x1 = float(np.atleast_1d(minimum)[0])
-    pts = find_critical_points(surface, [box], grid=grid)
+    pts = critical_points
+    if pts is None:
+        pts = find_critical_points(surface, [box], grid=grid)
     saddles = sorted(p.position[0] for p in pts if p.kind == "saddle-1")
     left = [s for s in saddles if s < x1]
     right = [s for s in saddles if s > x1]

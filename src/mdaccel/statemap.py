@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dynamics import DynamicsParams, OverdampedBatch, WalkerState, step_overdamped
-from .potentials import PotentialSurface, StateGeometry, find_critical_points, newton_polish
+from .potentials import (CriticalPoint, PotentialSurface, StateGeometry,
+                         find_critical_points, newton_polish)
 
 __all__ = [
     "OUTSIDE",
@@ -174,32 +175,75 @@ def classify(position, surface: PotentialSurface, definition: StateDefinition,
     return registry.register(xm)
 
 
+def _cell_labeler(edges: np.ndarray, cells: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Labeler of 1d cells: x[:, 0] in (edges[k-1], edges[k]] gets cells[k]."""
+
+    def labeler(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:
+            x = np.atleast_2d(x)
+        return cells[edges.searchsorted(x[:, 0])]
+
+    return labeler
+
+
+def _region_labeler(regions: Sequence) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized labeler for core-set / explicit regions, compiled once.
+
+    Disjoint 1d intervals become cells: lo < x < hi is x in (lo, hi'] with
+    hi' the float just below hi.  Other regions are tested all at once
+    against (R, k) bound arrays; where regions overlap the last one wins.
+    """
+    bounds = [np.asarray(r, dtype=float).reshape(-1, 2) for r in regions]
+    if all(b.shape == (1, 2) for b in bounds):
+        order = np.argsort([b[0, 0] for b in bounds], kind="stable")
+        edges = np.array([v for i in order
+                          for v in (bounds[i][0, 0], np.nextafter(bounds[i][0, 1], -np.inf))])
+        if np.all(edges[1:] >= edges[:-1]):
+            cells = np.full(edges.size + 1, OUTSIDE, dtype=np.int64)
+            cells[1::2] = order
+            return _cell_labeler(edges, cells)
+    if len({b.shape for b in bounds}) != 1:
+        raise ValueError("regions must all have the same dimension")
+    box = np.array(bounds)
+    lo, hi, k = box[..., 0], box[..., 1], box.shape[1]
+    ids = np.arange(len(bounds))
+
+    def labeler(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim < 2:
+            x = np.atleast_2d(x)
+        xs = x[:, None, :k]
+        inside = ((xs > lo) & (xs < hi)).all(axis=2)
+        return np.where(inside, ids, OUTSIDE).max(axis=1)
+
+    return labeler
+
+
 def make_labeler(surface: PotentialSurface, definition: StateDefinition,
-                 registry: Optional[MinimaRegistry] = None) -> Callable[[np.ndarray], np.ndarray]:
+                 registry: Optional[MinimaRegistry] = None,
+                 critical_points: Optional[Sequence[CriticalPoint]] = None,
+                 ) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized labeler X (n, d) -> labels (n,).
 
     For 1d basin definitions with a ``scan_box`` the basin boundaries are
     compiled once from a saddle scan (a 1d basin is exactly the interval
     between adjacent saddles), which keeps per-step classification cheap.
-    Other basin cases fall back to per-point descent.
+    ``critical_points`` passes in that scan when the caller has already
+    run it over the same box and grid.  Other basin cases fall back to
+    per-point descent.
     """
     if definition.kind in (CORE_SET, EXPLICIT_REGION):
-        regions = list(definition.regions)
-
-        def labeler(x: np.ndarray) -> np.ndarray:
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            out = np.full(x.shape[0], OUTSIDE, dtype=np.int64)
-            for i, region in enumerate(regions):
-                out[_region_contains(region, x)] = i
-            return out
-
-        return labeler
+        return _region_labeler(definition.regions)
 
     if registry is None:
         raise ValueError("basin labeling needs a MinimaRegistry")
 
     if surface.dim == 1 and definition.scan_box is not None:
-        pts = find_critical_points(surface, list(definition.scan_box), grid=definition.scan_grid)
+        pts = critical_points
+        if pts is None:
+            pts = find_critical_points(surface, list(definition.scan_box),
+                                       grid=definition.scan_grid)
         saddles = np.array(sorted(p.position[0] for p in pts if p.kind == "saddle-1"))
         minima = sorted((p.position[0] for p in pts if p.kind == "min"))
         # one label per inter-saddle cell, in discovery (left-to-right) order
@@ -211,13 +255,7 @@ def make_labeler(surface: PotentialSurface, definition: StateDefinition,
                 cell_labels.append(registry.register(np.array([inside[0]])))
             else:
                 cell_labels.append(OUTSIDE)
-        cells = np.array(cell_labels, dtype=np.int64)
-
-        def labeler(x: np.ndarray) -> np.ndarray:
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return cells[np.searchsorted(saddles, x[:, 0])]
-
-        return labeler
+        return _cell_labeler(saddles, np.array(cell_labels, dtype=np.int64))
 
     def labeler(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

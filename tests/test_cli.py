@@ -122,3 +122,40 @@ def test_compare_detects_broken_clock(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["pass"] is False
     assert verdict["ks_residence_pvalue"] < 0.01
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("horizon = 200", "horizon = 2e3x", "[run] horizon"),
+    ("name = direct", "name = parrep\nn_replicas = eight", "[method] n_replicas"),
+    ("name = direct", "name = parrep\ntau_corr = adaptive", "[method] tau_corr"),
+], ids=["horizon", "n_replicas", "tau_corr"])
+def test_malformed_value_is_a_config_error(tmp_path, capsys, old, new, key):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new), name="bad.ini")
+    out = str(tmp_path / "never")
+    assert main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    if "adaptive" in new:
+        assert "command line" in err
+    assert not os.path.exists(out)
+
+
+def test_tad_run_scans_critical_points_once(tmp_path, monkeypatch):
+    from mdaccel import cli, potentials, statemap
+
+    calls = []
+    scan = potentials.find_critical_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    for module in (potentials, statemap, cli):
+        monkeypatch.setattr(module, "find_critical_points", counting)
+    tad = BASE_CONFIG.replace("double_well_1d", "triple_well_1d").replace(
+        "scan_box = -2 2\nstart = -1.0", "scan_box = -2 2\nstart = 0.0").replace(
+        "name = direct", "name = tad\nbeta_hi = 1.5\nmin_prefactor = 1.0").replace(
+        "horizon = 200", "horizon = 5")
+    cfg = write_config(tmp_path, tad, name="tad.ini")
+    assert main(["run", cfg, "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdaccel.dynamics import (
+    NOISE_CHUNK,
     DynamicsParams,
     IntegratorDivergenceError,
     OverdampedBatch,
@@ -199,3 +200,81 @@ def test_params_validation():
     p = DynamicsParams(beta=2.0, dt=1e-3)
     assert p.with_beta(4.0).beta == 4.0
     assert p.noise_scale == pytest.approx(np.sqrt(2 * 1e-3 / 2.0))
+
+
+def _reference_lane(surface, params, start, gen, n_steps):
+    w = WalkerState(np.array(start, dtype=float), gen)
+    for _ in range(n_steps):
+        step_overdamped(w, surface, params)
+    return w
+
+
+@pytest.mark.parametrize("n_lanes, full_idx", [(1, False), (1, True), (3, True)])
+def test_every_lane_stepping_matches_reference_across_refill_and_restart(n_lanes, full_idx):
+    # every call steps all lanes (idx omitted or equal to arange(n)); the run
+    # crosses a chunk refill and restarts lane 0 twice in mid-chunk, once
+    # keeping its stream and once with a new one
+    bowl = make_quadratic_bowl(dim=1)
+    params = DynamicsParams(beta=2.0, dt=1e-3)
+    starts = np.linspace(-0.5, 0.5, n_lanes)[:, None]
+    batch = OverdampedBatch(bowl, params, starts.copy(),
+                            [substream(31, i) for i in range(n_lanes)])
+    idx = np.arange(n_lanes) if full_idx else None
+    a, b, total = 700, 1500, 1500 + NOISE_CHUNK + 300
+
+    def run(n):
+        for _ in range(n):
+            batch.step(idx)
+
+    run(a)
+    ref0 = _reference_lane(bowl, params, starts[0], substream(31, 0), a)
+    assert np.array_equal(batch.x[0], ref0.position)
+    batch.restart_lane(0, np.array([0.25]))
+    ref0.position = np.array([0.25])
+    run(b - a)
+    for _ in range(b - a):
+        step_overdamped(ref0, bowl, params)
+    assert np.array_equal(batch.x[0], ref0.position)
+    batch.restart_lane(0, np.array([-0.25]), substream(31, 99))
+    run(total - b)
+    ref0 = _reference_lane(bowl, params, [-0.25], substream(31, 99), total - b)
+    assert np.array_equal(batch.x[0], ref0.position)
+    for i in range(1, n_lanes):
+        ref = _reference_lane(bowl, params, starts[i], substream(31, i), total)
+        assert np.array_equal(batch.x[i], ref.position)
+    assert np.array_equal(batch.steps, np.full(n_lanes, total))
+
+
+@pytest.mark.parametrize("full_idx", [False, True])
+def test_single_lane_divergence_keeps_last_finite_position(full_idx):
+    flat = make_flat(1)
+
+    class Cliff:
+        """Flat for x < 0.05, an infinite force beyond."""
+        name = "cliff"
+        dim = 1
+
+        def energy(self, x):
+            return flat.energy(x)
+
+        def grad(self, x):
+            return np.where(np.asarray(x) < 0.05, 0.0, np.inf)
+
+        def hess(self, x):
+            return flat.hess(x)
+
+    params = DynamicsParams(beta=1.0, dt=1e-3)
+    batch = OverdampedBatch(Cliff(), params, np.zeros((1, 1)), [substream(8, 0)])
+    idx = np.arange(1) if full_idx else None
+    ref = WalkerState(np.zeros(1), substream(8, 0))
+    with pytest.raises(IntegratorDivergenceError) as info:
+        for _ in range(100_000):
+            before = ref.position.copy()
+            batch.step(idx)
+            step_overdamped(ref, flat, params)
+            assert np.array_equal(batch.x[0], ref.position)
+    last = info.value.last_state
+    assert np.all(np.isfinite(last.position)) and last.position[0] >= 0.05
+    assert np.array_equal(last.position, before)
+    assert np.array_equal(batch.x[0], before)
+    assert last.clock == batch.steps[0] * params.dt

@@ -218,3 +218,18 @@ def test_solver_validation(flat_1d):
         direct_exit_statistics(flat_1d, DynamicsParams(beta=1.0, dt=1e-3),
                                StateDefinition(kind=EXPLICIT_REGION, regions=[(0, 1)]),
                                0, np.array([0.5]), 0, master_seed=0)
+
+
+def test_import_does_not_load_scipy():
+    import os
+    import subprocess
+    import sys
+
+    import mdaccel
+
+    src = os.path.dirname(os.path.dirname(mdaccel.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import mdaccel; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -140,3 +140,33 @@ def test_state_definition_validation():
         StateDefinition(kind="nonsense")
     with pytest.raises(ValueError):
         StateDefinition(kind=CORE_SET, regions=[])
+
+
+@pytest.mark.parametrize("regions", [
+    [(-1.3, -0.7), (0.7, 1.3)],
+    [(0.7, 1.3), (-1.3, -0.7)],
+    [(-1.0, 0.0), (0.0, 1.0)],
+])
+@pytest.mark.parametrize("kind", [CORE_SET, EXPLICIT_REGION])
+def test_region_labeler_matches_classify_on_edges(double_well, regions, kind):
+    definition = StateDefinition(kind=kind, regions=regions)
+    edges = [v for r in regions for v in r]
+    pts = np.array([u for v in edges
+                    for u in (v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf))]
+                   + [-2.0, 0.5, 2.0])[:, None]
+    fast = make_labeler(double_well, definition)(pts)
+    assert np.array_equal(fast, [classify(p, double_well, definition) for p in pts])
+
+
+def test_rectangle_labeler_matches_classify_on_edges():
+    from mdaccel.potentials import make_muller_brown_2d
+
+    mb = make_muller_brown_2d()
+    regions = [((-0.62, -0.50), (1.38, 1.50)), ((0.55, 0.70), (0.0, 0.06))]
+    definition = StateDefinition(kind=CORE_SET, regions=regions)
+    vals = sorted({v for r in regions for iv in r for v in iv})
+    vals = [u for v in vals for u in (v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf))]
+    pts = np.array([(x, y) for x in vals for y in vals])
+    fast = make_labeler(mb, definition)(pts)
+    assert np.array_equal(fast, [classify(p, mb, definition) for p in pts])
+    assert set(fast) == {OUTSIDE, 0, 1}
