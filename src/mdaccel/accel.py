@@ -22,7 +22,7 @@ from .dynamics import DynamicsParams, OverdampedBatch, substream
 from .kramers import tad_theta
 from .oracle import ExitStatistics
 from .potentials import BiasPotential, PotentialSurface, StateGeometry, biased_surface
-from .qsd import GelmanRubinDiagnostic, estimate_qsd
+from .qsd import GelmanRubinDiagnostic, _dephase_lanes, estimate_qsd
 from .statemap import (ExitEvent, StateDefinition, attribute_exit_region,
                        exit_mask, make_labeler)
 
@@ -155,30 +155,6 @@ def _cycled(init: np.ndarray, e: int) -> np.ndarray:
     return init[e % init.shape[0]]
 
 
-def _dephase_block(surface, params, definition, state, labeler, anchors,
-                   n_tau, gens, budget_per_lane=10_000):
-    """Batched rejection dephasing; lane i restarts at anchors[i] on exit."""
-    batch = OverdampedBatch(surface, params, anchors.copy(), gens)
-    L = anchors.shape[0]
-    ok = np.zeros(L, dtype=np.int64)  # consecutive in-state steps per lane
-    idx = np.arange(L)  # lanes still dephasing
-    restarts = 0
-    while idx.size:
-        exited = exit_mask(labeler(batch.step(idx)), state, definition)
-        ok[idx] += 1
-        if exited.any():
-            bad = idx[exited]
-            restarts += bad.size
-            if restarts > budget_per_lane * L:
-                raise AccelBudgetError("dephasing restart budget exhausted")
-            batch.x[bad] = anchors[bad]
-            ok[bad] = 0
-        finished = ok[idx] >= n_tau
-        if finished.any():
-            idx = idx[~finished]
-    return batch.x
-
-
 # ---------------------------------------------------------------------------
 # Parallel Replica
 
@@ -284,7 +260,7 @@ def parrep_exit_many(
                 anchors = np.repeat(np.stack([pos_of[e] for e in survivors]), N, axis=0)
                 gens = [substream(master_seed, seed_namespace, e, 1, i)
                         for e in survivors for i in range(N)]
-                out = _dephase_block(surface, params, definition, state, labeler,
+                out = _dephase_lanes(surface, params, definition, state, labeler,
                                      anchors, n_corr, gens)
                 reps = out.reshape(len(survivors), N, dim)
                 for e in survivors:
@@ -409,7 +385,7 @@ def hyper_exit_many(
 
         if config.equilibrate and n_corr > 0:
             gens = [substream(master_seed, seed_namespace, int(e), 0) for e in events]
-            starts = _dephase_block(hot, params, definition, state, labeler,
+            starts = _dephase_lanes(hot, params, definition, state, labeler,
                                     starts, n_corr, gens)
             wall[events] += n_corr
 

@@ -153,7 +153,10 @@ def _build(cfg: dict, seed_override: Optional[int]):
             else:
                 raise _fail("state", "regions", "each region needs %d numbers"
                             % (2 * surface.dim))
-        definition = StateDefinition(kind=kind, regions=regions)
+        try:
+            definition = StateDefinition(kind=kind, regions=regions)
+        except ValueError as exc:
+            raise _fail("state", "regions", str(exc)) from exc
     labeler = make_labeler(surface, definition, registry, critical_points=scan)
 
     if "start" not in st:

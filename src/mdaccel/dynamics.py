@@ -6,8 +6,9 @@ surface) reproduce trajectories bit for bit.
 
 The module also provides a vectorized batch stepper used by the
 Fleming-Viot, direct-simulation and acceleration machinery.  Each batch
-lane consumes its own stream in fixed-size chunks, so a lane's trajectory
-does not depend on which other lanes share the batch.
+lane reads its own stream in order, buffered in refills of growing size;
+a lane's draws do not depend on the chunk or refill sizes, nor on which
+other lanes share the batch.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 NOISE_CHUNK = 2048
+NOISE_FIRST_REFILL = 64  # a lane's k-th refill draws min(NOISE_CHUNK, 64 * 2**k) steps
 
 
 class IntegratorDivergenceError(Exception):
@@ -138,9 +140,15 @@ def step_langevin(walker: WalkerState, surface: PotentialSurface,
 
 
 class _LaneNoise:
-    """Chunked per-lane normal buffers; a lane's draw sequence is fixed."""
+    """Per-lane normal buffers; lane i's draws equal one
+    ``gens[i].standard_normal((K, dim))`` whatever the chunk and refill sizes.
 
-    __slots__ = ("gens", "dim", "chunk", "buf", "pos", "lanes")
+    Refills double from NOISE_FIRST_REFILL up to ``chunk``, so a short-lived
+    lane draws little more than it uses, and each fills the tail of the
+    lane's row, so the rest of the row is never touched.
+    """
+
+    __slots__ = ("gens", "dim", "chunk", "buf", "pos", "lanes", "refill")
 
     def __init__(self, gens: Sequence[np.random.Generator], dim: int, chunk: int = NOISE_CHUNK):
         self.gens = list(gens)
@@ -150,10 +158,11 @@ class _LaneNoise:
         self.buf = np.empty((n, chunk, dim))
         self.pos = np.full(n, chunk, dtype=np.int64)  # empty -> refill on first draw
         self.lanes = np.arange(n)
+        self.refill = [min(NOISE_FIRST_REFILL, chunk)] * n  # size of each lane's next refill
 
     def draw(self, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Next normal vector for each lane in ``idx`` (default all); refills
-        a lane's chunk only when it is used up."""
+        a lane's buffer only when it is used up."""
         if idx is None:
             idx, pos = self.lanes, self.pos  # updates land in self.pos itself
         else:
@@ -161,8 +170,10 @@ class _LaneNoise:
         if pos.max() >= self.chunk:
             for j in np.flatnonzero(pos >= self.chunk):
                 i = idx[j]
-                self.buf[i] = self.gens[i].standard_normal((self.chunk, self.dim))
-                pos[j] = 0
+                c = self.refill[i]
+                self.gens[i].standard_normal(out=self.buf[i, self.chunk - c:])
+                self.refill[i] = min(2 * c, self.chunk)
+                pos[j] = self.chunk - c
         out = self.buf[idx, pos]
         if pos is self.pos:
             pos += 1
@@ -173,6 +184,7 @@ class _LaneNoise:
     def reset_lane(self, i: int, gen: np.random.Generator) -> None:
         self.gens[i] = gen
         self.pos[i] = self.chunk
+        self.refill[i] = min(NOISE_FIRST_REFILL, self.chunk)
 
 
 class OverdampedBatch:

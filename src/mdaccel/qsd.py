@@ -208,6 +208,33 @@ def estimate_qsd(
         ensemble.positions.copy(), ensemble.elapsed, ensemble.kill_count, ensemble.elapsed))
 
 
+def _dephase_lanes(surface: PotentialSurface, params: DynamicsParams,
+                   definition: StateDefinition, state: int, labeler: Callable,
+                   anchors: np.ndarray, n_tau: int, gens: Sequence[np.random.Generator],
+                   max_restarts: int = 10_000) -> np.ndarray:
+    """Lane i, on stream gens[i], restarts at anchors[i] on every exit until
+    it has stayed n_tau >= 1 steps in the state; returns the end points."""
+    batch = OverdampedBatch(surface, params, anchors, gens)
+    L = anchors.shape[0]
+    ok = np.zeros(L, dtype=np.int64)  # consecutive in-state steps per lane
+    idx = np.arange(L)  # lanes still dephasing
+    restarts = 0
+    while idx.size:
+        exited = exit_mask(labeler(batch.step(idx)), state, definition)
+        ok[idx] += 1
+        if exited.any():
+            bad = idx[exited]
+            restarts += bad.size
+            if restarts > max_restarts * L:
+                raise DephasingBudgetError("acceptance too low: %d restarts" % restarts)
+            batch.x[bad] = anchors[bad]
+            ok[bad] = 0
+        finished = ok[idx] >= n_tau
+        if finished.any():
+            idx = idx[~finished]
+    return batch.x
+
+
 def dephase_by_rejection(
     surface: PotentialSurface,
     params: DynamicsParams,
@@ -235,24 +262,5 @@ def dephase_by_rejection(
 
     n_tau = max(int(round(tau / params.dt)), 1)
     gens = [substream(master_seed, seed_namespace, i) for i in range(count)]
-    batch = OverdampedBatch(surface, params, np.repeat(start[None, :], count, axis=0), gens)
-    ok_steps = np.zeros(count, dtype=np.int64)
-    restarts = 0
-    done = np.zeros(count, dtype=bool)
-
-    while not np.all(done):
-        idx = np.flatnonzero(~done)
-        batch.step(idx)
-        labels = labeler(batch.x[idx])
-        exited = exit_mask(labels, state, definition)
-        bad = idx[exited]
-        restarts += bad.size
-        if restarts > max_restarts * count:
-            raise DephasingBudgetError("acceptance too low: %d restarts" % restarts)
-        if bad.size:
-            batch.x[bad] = start
-            ok_steps[bad] = 0
-        good = idx[~exited]
-        ok_steps[good] += 1
-        done[good[ok_steps[good] >= n_tau]] = True
-    return batch.x.copy()
+    return _dephase_lanes(surface, params, definition, state, labeler,
+                          np.repeat(start[None, :], count, axis=0), n_tau, gens, max_restarts)

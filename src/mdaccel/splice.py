@@ -161,33 +161,33 @@ def produce_segments(
     batch = OverdampedBatch(surface, params, starts, gens)
     cur = np.full(L, start_state, dtype=np.int64)
     res = np.zeros(L, dtype=np.int64)
-    total = np.zeros(L, dtype=np.int64)
     paths: list[list] = [[] for _ in range(L)]
-    active = np.ones(L, dtype=bool)
     segments: list[Optional[Segment]] = [None] * L
+    idx = np.arange(L)  # lanes still producing
+    k = 0  # every producing lane has taken k steps
 
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        batch.step(idx)
-        total[idx] += 1
-        if int(total[idx].max()) > max_steps:
+    while idx.size:
+        lab = labeler(batch.step(idx))
+        k += 1
+        if k > max_steps:
             raise SegmentBudgetError("segment production budget exhausted")
-        lab = labeler(batch.x[idx])
+        c = cur[idx]
         if ignore_outside:
-            lab = np.where(lab == OUTSIDE, cur[idx], lab)
-        changed = lab != cur[idx]
-        same = idx[~changed]
-        res[same] += 1
-        for j, new in zip(idx[changed], lab[changed]):
-            paths[j].append((int(cur[j]), res[j] * params.dt))
-            cur[j] = new
-            res[j] = 1
-        finished = idx[res[idx] >= n_tau]
-        for j in finished:
-            paths[j].append((int(cur[j]), res[j] * params.dt))
-            segments[j] = Segment(start_state, int(cur[j]), total[j] * params.dt,
-                                  tuple(paths[j]), int(generation_indices[j]))
-            active[j] = False
+            lab = np.where(lab == OUTSIDE, c, lab)
+        res[idx] += 1
+        changed = lab != c
+        if changed.any():
+            for j, new in zip(idx[changed], lab[changed]):
+                paths[j].append((int(cur[j]), (res[j] - 1) * params.dt))
+                cur[j] = new
+                res[j] = 1
+        finished = res[idx] >= n_tau
+        if finished.any():
+            for j in idx[finished]:
+                paths[j].append((int(cur[j]), res[j] * params.dt))
+                segments[j] = Segment(start_state, int(cur[j]), batch.steps[j] * params.dt,
+                                      tuple(paths[j]), int(generation_indices[j]))
+            idx = idx[~finished]
     return segments  # type: ignore[return-value]
 
 

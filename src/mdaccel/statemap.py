@@ -87,9 +87,11 @@ class StateDefinition:
     """How configurations map to state labels.
 
     ``regions`` is used by the core-set and explicit-region kinds: a list of
-    disjoint intervals ``(lo, hi)`` in 1d or rectangles ``((xlo, xhi),
-    (ylo, yhi))`` in 2d.  ``scan_box``/``scan_grid`` let the basin kind
-    precompile its 1d basin boundaries from a critical-point scan.
+    open intervals ``(lo, hi)`` in 1d or boxes ``((xlo, xhi), (ylo, yhi))``
+    in 2d, all of one dimension and disjoint (regions that only touch, such
+    as (-1, 0) and (0, 1), are allowed; overlapping ones raise ValueError).
+    ``scan_box``/``scan_grid`` let the basin kind precompile its 1d basin
+    boundaries from a critical-point scan.
     """
 
     kind: str = BASIN
@@ -104,6 +106,14 @@ class StateDefinition:
             raise ValueError("unknown state kind %r" % self.kind)
         if self.kind in (CORE_SET, EXPLICIT_REGION) and not len(self.regions):
             raise ValueError("%s definitions need regions" % self.kind)
+        bounds = [np.asarray(r, dtype=float).reshape(-1, 2) for r in self.regions]
+        if len({b.shape for b in bounds}) > 1:
+            raise ValueError("regions must all have the same dimension")
+        for i, b in enumerate(bounds):
+            for k in range(i):
+                if np.all(np.maximum(b[:, 0], bounds[k][:, 0])
+                          < np.minimum(b[:, 1], bounds[k][:, 1])):
+                    raise ValueError("regions %d and %d overlap" % (k, i))
 
 
 def _region_contains(region, x: np.ndarray) -> np.ndarray:
@@ -175,49 +185,35 @@ def classify(position, surface: PotentialSurface, definition: StateDefinition,
     return registry.register(xm)
 
 
-def _cell_labeler(edges: np.ndarray, cells: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Labeler of 1d cells: x[:, 0] in (edges[k-1], edges[k]] gets cells[k]."""
+def _cell_labeler(edges: Sequence[np.ndarray],
+                  table: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Labeler of cells: x gets table[c_0, c_1, ...] with x[:, j] in
+    (edges[j][c_j - 1], edges[j][c_j]]."""
 
     def labeler(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim < 2:
             x = np.atleast_2d(x)
-        return cells[edges.searchsorted(x[:, 0])]
+        return table[tuple(e.searchsorted(x[:, j]) for j, e in enumerate(edges))]
 
     return labeler
 
 
 def _region_labeler(regions: Sequence) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized labeler for core-set / explicit regions, compiled once.
+    """Cell-table labeler for disjoint core-set / explicit regions, compiled once.
 
-    Disjoint 1d intervals become cells: lo < x < hi is x in (lo, hi'] with
-    hi' the float just below hi.  Other regions are tested all at once
-    against (R, k) bound arrays; where regions overlap the last one wins.
+    Each axis is cut at every region's lo and at hi', the float just below
+    hi, so lo < x < hi is x in (lo, hi'] and every region is a block of
+    whole cells of one label table.
     """
-    bounds = [np.asarray(r, dtype=float).reshape(-1, 2) for r in regions]
-    if all(b.shape == (1, 2) for b in bounds):
-        order = np.argsort([b[0, 0] for b in bounds], kind="stable")
-        edges = np.array([v for i in order
-                          for v in (bounds[i][0, 0], np.nextafter(bounds[i][0, 1], -np.inf))])
-        if np.all(edges[1:] >= edges[:-1]):
-            cells = np.full(edges.size + 1, OUTSIDE, dtype=np.int64)
-            cells[1::2] = order
-            return _cell_labeler(edges, cells)
-    if len({b.shape for b in bounds}) != 1:
-        raise ValueError("regions must all have the same dimension")
-    box = np.array(bounds)
-    lo, hi, k = box[..., 0], box[..., 1], box.shape[1]
-    ids = np.arange(len(bounds))
-
-    def labeler(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim < 2:
-            x = np.atleast_2d(x)
-        xs = x[:, None, :k]
-        inside = ((xs > lo) & (xs < hi)).all(axis=2)
-        return np.where(inside, ids, OUTSIDE).max(axis=1)
-
-    return labeler
+    box = np.array([np.asarray(r, dtype=float).reshape(-1, 2) for r in regions])
+    lo, hi = box[..., 0], np.nextafter(box[..., 1], -np.inf)
+    edges = [np.unique(np.concatenate((lo[:, j], hi[:, j]))) for j in range(box.shape[1])]
+    table = np.full([e.size + 1 for e in edges], OUTSIDE, dtype=np.int64)
+    for r in range(len(box)):
+        table[tuple(slice(e.searchsorted(lo[r, j]) + 1, e.searchsorted(hi[r, j]) + 1)
+                    for j, e in enumerate(edges))] = r
+    return _cell_labeler(edges, table)
 
 
 def make_labeler(surface: PotentialSurface, definition: StateDefinition,
@@ -255,7 +251,7 @@ def make_labeler(surface: PotentialSurface, definition: StateDefinition,
                 cell_labels.append(registry.register(np.array([inside[0]])))
             else:
                 cell_labels.append(OUTSIDE)
-        return _cell_labeler(saddles, np.array(cell_labels, dtype=np.int64))
+        return _cell_labeler([saddles], np.array(cell_labels, dtype=np.int64))
 
     def labeler(x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -24,6 +24,7 @@ from mdaccel.potentials import (
     interval_state_geometry,
     make_bump_bias,
 )
+from mdaccel.qsd import DephasingBudgetError
 from mdaccel.statemap import EXPLICIT_REGION, StateDefinition, exit_mask, make_labeler
 
 UNIT_INTERVAL = StateDefinition(kind=EXPLICIT_REGION, regions=[(0.0, 1.0)])
@@ -164,6 +165,16 @@ def test_hyper_bias_at_boundary_rejected(flat_1d):
     with pytest.raises(InvalidBiasError):
         hyper_exit_many(flat_1d, params, UNIT_INTERVAL, 0, np.array([0.9]),
                         cfg, 20, master_seed=103)
+
+
+def test_equilibration_restart_budget_raises_dephasing_budget_error(flat_1d):
+    # equilibration restarts a lane at its start on every exit; from a start
+    # outside the state every step exits, until the restart budget runs out
+    cfg = HyperConfig(bias=make_bump_bias(center=[0.5], width=0.1, height=0.1),
+                      tau_corr=0.01)
+    with pytest.raises(DephasingBudgetError):
+        hyper_exit_many(flat_1d, DynamicsParams(beta=1.0, dt=1e-3), UNIT_INTERVAL, 0,
+                        np.array([2.0]), cfg, 1, master_seed=109)
 
 
 def test_tad_equal_temperatures_is_trivial(triple_well, tw_basins):

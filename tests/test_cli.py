@@ -128,7 +128,9 @@ def test_compare_detects_broken_clock(tmp_path, capsys):
     ("horizon = 200", "horizon = 2e3x", "[run] horizon"),
     ("name = direct", "name = parrep\nn_replicas = eight", "[method] n_replicas"),
     ("name = direct", "name = parrep\ntau_corr = adaptive", "[method] tau_corr"),
-], ids=["horizon", "n_replicas", "tau_corr"])
+    ("kind = basin-of-attraction\nscan_box = -2 2",
+     "kind = core-set\nregions = -1.5 -0.5; -0.8 1.0", "[state] regions"),
+], ids=["horizon", "n_replicas", "tau_corr", "overlapping_regions"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, old, new, key):
     cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new), name="bad.ini")
     out = str(tmp_path / "never")

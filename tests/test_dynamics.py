@@ -3,6 +3,7 @@ import pytest
 
 from mdaccel.dynamics import (
     NOISE_CHUNK,
+    NOISE_FIRST_REFILL,
     DynamicsParams,
     IntegratorDivergenceError,
     OverdampedBatch,
@@ -11,6 +12,7 @@ from mdaccel.dynamics import (
     step_overdamped,
     substream,
     walker_rng,
+    _LaneNoise,
 )
 from mdaccel.potentials import make_flat, make_quadratic_bowl, make_tilted_1d
 
@@ -278,3 +280,45 @@ def test_single_lane_divergence_keeps_last_finite_position(full_idx):
     assert np.array_equal(last.position, before)
     assert np.array_equal(batch.x[0], before)
     assert last.clock == batch.steps[0] * params.dt
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lane_draws_equal_one_draw_of_its_stream(dim):
+    # refills of 64, 128, ... steps, then whole chunks: a lane's draws are
+    # its stream's standard normals in order, whatever the refill sizes;
+    # lane 1 skips every third call, so it crosses refills at other calls
+    n_calls = 2 * NOISE_CHUNK + 300
+    noise = _LaneNoise([substream(3, i) for i in range(3)], dim)
+    drawn = [[], [], []]
+    for k in range(n_calls):
+        idx = np.array([0, 2]) if k % 3 == 0 else None
+        out = noise.draw(idx)
+        for j, i in enumerate(range(3) if idx is None else idx):
+            drawn[i].append(out[j])
+    for i in range(3):
+        ref = substream(3, i).standard_normal((len(drawn[i]), dim))
+        assert np.array_equal(np.array(drawn[i]), ref)
+
+
+def test_lanes_restarting_at_different_steps_match_their_references():
+    # lane i > 0 takes a new stream at its own step, in different phases of
+    # the refill schedule; the schedule starts over at the first refill
+    bowl = make_quadratic_bowl(dim=2)
+    params = DynamicsParams(beta=1.5, dt=1e-3)
+    starts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.0, 0.0], [0.2, -0.1], [-0.2, -0.2]])
+    batch = OverdampedBatch(bowl, params, starts.copy(), [substream(41, i) for i in range(5)])
+    restart_at = {1: 1, 2: 63, 3: 700, 4: NOISE_CHUNK + 100}
+    total = NOISE_CHUNK + 300
+    for k in range(total):
+        for i, at in restart_at.items():
+            if k == at:
+                batch.restart_lane(i, starts[i], substream(41, 100 + i))
+        batch.step()
+        for i, at in restart_at.items():
+            if k == at:
+                assert batch.noise.pos[i] == NOISE_CHUNK - NOISE_FIRST_REFILL + 1
+    for i in range(5):
+        at = restart_at.get(i, 0)
+        gen = substream(41, 100 + i) if i in restart_at else substream(41, i)
+        ref = _reference_lane(bowl, params, starts[i], gen, total - at)
+        assert np.array_equal(batch.x[i], ref.position)

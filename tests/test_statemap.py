@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdaccel.dynamics import DynamicsParams, WalkerState, walker_rng
 from mdaccel.oracle import direct_exit_statistics, exit_law_from_spectrum, solve_ground_state
-from mdaccel.potentials import basin_geometry_1d, interval_state_geometry
+from mdaccel.potentials import basin_geometry_1d, interval_state_geometry, make_flat
 from mdaccel.statemap import (
     BASIN,
     CORE_SET,
@@ -140,6 +142,19 @@ def test_state_definition_validation():
         StateDefinition(kind="nonsense")
     with pytest.raises(ValueError):
         StateDefinition(kind=CORE_SET, regions=[])
+    # overlapping regions would get different labels from classify (first
+    # containing region) and from a labeler table; regions that only touch
+    # are disjoint as open sets
+    with pytest.raises(ValueError, match="overlap"):
+        StateDefinition(kind=CORE_SET, regions=[(-1.0, 0.5), (0.0, 1.0)])
+    with pytest.raises(ValueError, match="overlap"):
+        StateDefinition(kind=EXPLICIT_REGION,
+                        regions=[((0.0, 2.0), (0.0, 2.0)), ((1.0, 3.0), (1.9, 3.0))])
+    with pytest.raises(ValueError, match="dimension"):
+        StateDefinition(kind=EXPLICIT_REGION, regions=[(0.0, 1.0), ((2.0, 3.0), (0.0, 1.0))])
+    StateDefinition(kind=CORE_SET, regions=[(-1.0, 0.0), (0.0, 1.0)])
+    StateDefinition(kind=EXPLICIT_REGION,
+                    regions=[((0.0, 2.0), (0.0, 2.0)), ((1.0, 3.0), (2.0, 3.0))])
 
 
 @pytest.mark.parametrize("regions", [
@@ -170,3 +185,37 @@ def test_rectangle_labeler_matches_classify_on_edges():
     fast = make_labeler(mb, definition)(pts)
     assert np.array_equal(fast, [classify(p, mb, definition) for p in pts])
     assert set(fast) == {OUTSIDE, 0, 1}
+
+
+@st.composite
+def _disjoint_boxes(draw):
+    """1 to 4 disjoint open boxes in 1d or 2d, on a coarse grid so that
+    shared and touching edges are common."""
+    dim = draw(st.sampled_from([1, 2]))
+    coord = st.integers(-8, 8).map(lambda v: v / 4.0)
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        box = tuple(tuple(sorted(draw(st.lists(coord, min_size=2, max_size=2))))
+                    for _ in range(dim))
+        if all(np.any(np.maximum([a[0] for a in box], [b[0] for b in other])
+                      >= np.minimum([a[1] for a in box], [b[1] for b in other]))
+               for other in boxes):
+            boxes.append(box)
+    points = draw(st.lists(st.tuples(*[st.floats(-2.5, 2.5)] * dim), max_size=20))
+    return dim, boxes, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(_disjoint_boxes())
+def test_region_labeler_matches_classify_on_random_disjoint_boxes(case):
+    dim, boxes, points = case
+    regions = [b[0] for b in boxes] if dim == 1 else boxes
+    surface = make_flat(dim)
+    definition = StateDefinition(kind=EXPLICIT_REGION, regions=regions)
+    axis = [sorted({u for b in boxes for v in b[j]
+                    for u in (v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf))})
+            for j in range(dim)]
+    edges = np.array(np.meshgrid(*axis, indexing="ij")).reshape(dim, -1).T
+    pts = np.concatenate([edges, np.array(points, dtype=float).reshape(-1, dim)])
+    fast = make_labeler(surface, definition)(pts)
+    assert np.array_equal(fast, [classify(p, surface, definition) for p in pts])
