@@ -28,10 +28,9 @@ from .potentials import (
 from .dynamics import (
     DynamicsParams,
     WalkerState,
-    walker_rng,
+    BudgetExhaustedError,
     substream,
     step_overdamped,
-    step_langevin,
     OverdampedBatch,
 )
 from .statemap import (
@@ -44,9 +43,8 @@ from .statemap import (
     ExitEvent,
     classify,
     make_labeler,
-    detect_exit,
 )
-from .kmc import RateGraph, JumpTrajectory, sample_exit, run_kmc
+from .kmc import RateGraph, StateToStateTrajectory, sample_exit, run_kmc
 from .qsd import (
     FvEnsemble,
     GelmanRubinDiagnostic,
@@ -59,7 +57,6 @@ from .kramers import (
     RateTable,
     rate_table,
     prefactor_overdamped,
-    prefactor_langevin,
     prefactor_generalized,
     exit_law_asymptotic,
     tad_theta,
@@ -68,7 +65,6 @@ from .accel import (
     ParRepConfig,
     HyperConfig,
     TadConfig,
-    StateToStateTrajectory,
     parrep_exit,
     hyper_exit,
     tad_exit,
@@ -78,7 +74,6 @@ from .accel import (
 from .splice import (
     Segment,
     SegmentDatabase,
-    produce_segment,
     produce_segments,
     splice,
     schedule_production,

@@ -13,14 +13,15 @@ exactly equivalent (bit for bit) to looping the single-event functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .dynamics import DynamicsParams, OverdampedBatch, substream
+from .dynamics import BudgetExhaustedError, DynamicsParams, OverdampedBatch, substream
+from .kmc import StateToStateTrajectory
 from .kramers import tad_theta
-from .oracle import ExitStatistics
+from .oracle import ExitStatistics, direct_exit_statistics
 from .potentials import BiasPotential, PotentialSurface, StateGeometry, biased_surface
 from .qsd import GelmanRubinDiagnostic, _dephase_lanes, estimate_qsd
 from .statemap import (ExitEvent, StateDefinition, attribute_exit_region,
@@ -30,10 +31,8 @@ __all__ = [
     "ParRepConfig",
     "HyperConfig",
     "TadConfig",
-    "StateToStateTrajectory",
     "InvalidBiasError",
     "MissingBoundError",
-    "AccelBudgetError",
     "parrep_exit",
     "parrep_exit_many",
     "hyper_exit",
@@ -53,10 +52,6 @@ class InvalidBiasError(Exception):
 
 class MissingBoundError(Exception):
     """TAD stopping criterion has neither a prefactor nor a barrier bound."""
-
-
-class AccelBudgetError(Exception):
-    """Step budget exhausted before the method could finish."""
 
 
 @dataclass
@@ -124,27 +119,6 @@ class TadConfig:
             raise ValueError("bounce must be 'reflect' or 'restart'")
         if not self.exhaustive and self.min_prefactor is None and self.min_barrier is None:
             raise MissingBoundError("stopping criterion needs min_prefactor or min_barrier")
-
-
-@dataclass
-class StateToStateTrajectory:
-    """Projection of the trajectory onto state labels."""
-
-    states: list[int] = field(default_factory=list)
-    residences: list[float] = field(default_factory=list)
-    exit_regions: list[int] = field(default_factory=list)
-    records: list[dict] = field(default_factory=list)
-
-    @property
-    def clock(self) -> float:
-        return float(sum(self.residences))
-
-    def occupation_fractions(self) -> dict[int, float]:
-        total = self.clock
-        occ: dict[int, float] = {}
-        for s, r in zip(self.states, self.residences):
-            occ[s] = occ.get(s, 0.0) + r / total
-        return occ
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +256,8 @@ def parrep_exit_many(
         while pending:
             m += 1
             if m * N > config.max_steps:
-                raise AccelBudgetError("parallel step budget exhausted")
+                raise BudgetExhaustedError("ParRep parallel-step",
+                                           "%d replica steps per event" % config.max_steps)
             lab = labeler(batch.step(idx))
             exited = exit_mask(lab, state, definition)
             if not exited.any():
@@ -399,7 +374,8 @@ def hyper_exit_many(
             xi = batch.step(idx)
             k += 1
             if k > config.max_steps:
-                raise AccelBudgetError("biased run budget exhausted")
+                raise BudgetExhaustedError("Hyperdynamics biased-run",
+                                           "%d steps per event" % config.max_steps)
             sumexp[idx] += np.exp(beta * config.bias.energy(xi))
             lab = labeler(xi)
             exited = exit_mask(lab, state, definition)
@@ -520,7 +496,8 @@ def tad_exit_many(
             lab = labeler(batch.step(idx))
             k += 1
             if k > config.max_steps:
-                raise AccelBudgetError("high-temperature budget exhausted")
+                raise BudgetExhaustedError("TAD high-temperature",
+                                           "%d steps per event" % config.max_steps)
             exited = exit_mask(lab, state, definition)
             for p in np.flatnonzero(exited):
                 j, new_label = idx[p], lab[p]
@@ -590,17 +567,15 @@ def direct_exit(state: int, entry: np.ndarray, surface: PotentialSurface,
                 master_seed: int, geometry: Optional[StateGeometry] = None,
                 labeler: Optional[Callable] = None, seed_namespace: int = 0,
                 max_steps: int = 200_000_000) -> ExitEvent:
-    """Plain single-walker first exit (the no-acceleration baseline)."""
-    if labeler is None:
-        labeler = make_labeler(surface, definition)
-    gen = substream(master_seed, seed_namespace, 0)
-    batch = OverdampedBatch(surface, params, np.atleast_2d(entry), [gen])
-    for k in range(1, max_steps + 1):
-        lab = labeler(batch.step())
-        if exit_mask(lab, state, definition)[0]:
-            region = attribute_exit_region(batch.x[0], int(lab[0]), geometry)
-            return ExitEvent(k * params.dt, batch.x[0].copy(), region, k)
-    raise AccelBudgetError("no exit within %d steps" % max_steps)
+    """Plain single-walker first exit (the no-acceleration baseline): one
+    event of ``direct_exit_statistics``, on the stream
+    ``(master_seed, seed_namespace, 0)``."""
+    stats = direct_exit_statistics(surface, params, definition, state, entry, 1,
+                                   master_seed, geometry, labeler, max_steps,
+                                   seed_namespace=seed_namespace)
+    t = float(stats.exit_times[0])
+    return ExitEvent(t, stats.exit_points[0], int(stats.region_labels[0]),
+                     int(round(t / params.dt)))
 
 
 def run_accelerated(
@@ -658,9 +633,7 @@ def run_accelerated(
                           master_seed, geom, labeler, seed_namespace=event_index)
             factor = float(config.beta_lo / config.beta_hi)
             wall = ev.first_exit_step
-        traj.states.append(state)
-        traj.residences.append(ev.exit_time)
-        traj.exit_regions.append(ev.region_label)
+        traj.append(state, ev.exit_time, ev.region_label)
         traj.records.append({
             "event_index": event_index,
             "state": state,

@@ -241,8 +241,7 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def run(config_path: str, seed: Optional[int] = None, out: Optional[str] = None,
-        workers: int = 1) -> int:
+def run(config_path: str, seed: Optional[int] = None, out: Optional[str] = None) -> int:
     cfg = load_config(config_path)
     built = _build(cfg, seed)
     outdir = out or built["out"]
@@ -288,7 +287,6 @@ def run(config_path: str, seed: Optional[int] = None, out: Optional[str] = None,
         "config_sha256": digest,
         "seed": built["seed"],
         "version": __version__,
-        "workers": workers,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -346,7 +344,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run = sub.add_parser("run", help="execute a run configuration")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--out", default=None)
     p_cmp = sub.add_parser("compare", help="statistically compare two run directories")
     p_cmp.add_argument("dir_a")
@@ -355,7 +352,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         if args.command == "run":
-            return run(args.config, seed=args.seed, out=args.out, workers=args.workers)
+            return run(args.config, seed=args.seed, out=args.out)
         return compare(args.dir_a, args.dir_b)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

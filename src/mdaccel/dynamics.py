@@ -1,4 +1,5 @@
-"""Time integrators for overdamped Langevin and Langevin dynamics.
+"""Euler-Maruyama integration of the overdamped Langevin dynamics
+dX = -grad V(X) dt + sqrt(2 / beta) dW, the only dynamics in the package.
 
 Randomness contract: every walker owns an independent seedable stream
 derived from ``(master seed, walker id)``; identical (seed, params,
@@ -13,7 +14,7 @@ other lanes share the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,10 +25,9 @@ __all__ = [
     "DynamicsParams",
     "WalkerState",
     "IntegratorDivergenceError",
-    "walker_rng",
+    "BudgetExhaustedError",
     "substream",
     "step_overdamped",
-    "step_langevin",
     "OverdampedBatch",
 ]
 
@@ -43,25 +43,29 @@ class IntegratorDivergenceError(Exception):
         self.last_state = walker
 
 
+class BudgetExhaustedError(Exception):
+    """A step, restart or time budget ran out; ``phase`` names whose."""
+
+    def __init__(self, phase: str, budget: str):
+        super().__init__("%s budget of %s exhausted" % (phase, budget))
+        self.phase = phase
+
+
 @dataclass
 class DynamicsParams:
-    """Inverse temperature, timestep and (for Langevin) friction and mass."""
+    """Inverse temperature and timestep."""
 
     beta: float
     dt: float
-    gamma: Optional[float] = None
-    mass: Optional[np.ndarray] = None  # diagonal of the mass tensor
 
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
 
     def with_beta(self, beta: float) -> "DynamicsParams":
-        return DynamicsParams(beta=beta, dt=self.dt, gamma=self.gamma, mass=self.mass)
+        return DynamicsParams(beta=beta, dt=self.dt)
 
     @property
     def noise_scale(self) -> float:
@@ -74,30 +78,16 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key)))
 
 
-def walker_rng(master_seed: int, walker_id: int = 0) -> np.random.Generator:
-    """The stream owned by walker ``walker_id`` under ``master_seed``."""
-    return substream(master_seed, walker_id)
-
-
 @dataclass
 class WalkerState:
-    """Position (plus optional momentum), clock, and the walker's own stream."""
+    """Position, clock, and the walker's own stream."""
 
     position: np.ndarray
     rng: np.random.Generator
-    momentum: Optional[np.ndarray] = None
     clock: float = 0.0
 
     def __post_init__(self):
         self.position = np.atleast_1d(np.asarray(self.position, dtype=float))
-        if self.momentum is not None:
-            self.momentum = np.atleast_1d(np.asarray(self.momentum, dtype=float))
-
-    def copy(self) -> "WalkerState":
-        w = WalkerState(self.position.copy(), self.rng,
-                        None if self.momentum is None else self.momentum.copy(),
-                        self.clock)
-        return w
 
 
 def step_overdamped(walker: WalkerState, surface: PotentialSurface,
@@ -109,32 +99,6 @@ def step_overdamped(walker: WalkerState, surface: PotentialSurface,
                        + params.noise_scale * g)
     walker.clock += params.dt
     if not np.all(np.isfinite(walker.position)):
-        raise IntegratorDivergenceError(walker)
-    return walker
-
-
-def step_langevin(walker: WalkerState, surface: PotentialSurface,
-                  params: DynamicsParams) -> WalkerState:
-    """One BAOAB step of the Langevin dynamics (order dt^2 weak error)."""
-    if walker.momentum is None:
-        raise ValueError("Langevin stepping needs a momentum")
-    if params.gamma is None:
-        raise ValueError("Langevin stepping needs a friction gamma")
-    m = params.mass if params.mass is not None else np.ones(surface.dim)
-    dt = params.dt
-    q, p = walker.position, walker.momentum
-
-    p = p - 0.5 * dt * surface.grad(q)                       # B
-    q = q + 0.5 * dt * p / m                                 # A
-    c1 = np.exp(-params.gamma * dt / m)                      # O
-    c2 = np.sqrt((1.0 - c1 ** 2) * m / params.beta)
-    p = c1 * p + c2 * walker.rng.standard_normal(surface.dim)
-    q = q + 0.5 * dt * p / m                                 # A
-    p = p - 0.5 * dt * surface.grad(q)                       # B
-
-    walker.position, walker.momentum = q, p
-    walker.clock += dt
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
         raise IntegratorDivergenceError(walker)
     return walker
 

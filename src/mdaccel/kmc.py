@@ -1,4 +1,5 @@
-"""Continuous-time jump Markov process over a discrete state graph.
+"""Continuous-time jump Markov process over a discrete state graph, and
+the state-to-state trajectory type that every method writes.
 
 Residence times are exponential with the total outgoing rate; the next
 state is drawn independently with probability proportional to its rate.
@@ -9,13 +10,12 @@ are reproducible from the walker's stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "RateGraph",
-    "JumpTrajectory",
+    "StateToStateTrajectory",
     "AbsorbingStateError",
     "sample_exit",
     "run_kmc",
@@ -79,22 +79,27 @@ class RateGraph:
 
 
 @dataclass
-class JumpTrajectory:
-    """Sequence of (state, residence time); the last residence may be flagged
-    infinite when an absorbing state was reached."""
+class StateToStateTrajectory:
+    """Projection of a trajectory onto state labels: (state, residence time)
+    per sojourn, the exit region of each, and per-event records.  The last
+    residence is flagged infinite (``absorbed``) when a KMC run reached an
+    absorbing state."""
 
     states: list[int] = field(default_factory=list)
     residences: list[float] = field(default_factory=list)
+    exit_regions: list[int] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
     absorbed: bool = False
 
-    def append(self, state: int, residence: float) -> None:
+    def append(self, state: int, residence: float, exit_region: int = -1) -> None:
         if residence <= 0:
             raise ValueError("residence times must be strictly positive")
         self.states.append(state)
         self.residences.append(residence)
+        self.exit_regions.append(exit_region)
 
     @property
-    def total_time(self) -> float:
+    def clock(self) -> float:
         return float(sum(self.residences))
 
     def state_at(self, t: float) -> int:
@@ -107,7 +112,7 @@ class JumpTrajectory:
         return self.states[-1]
 
     def occupation_fractions(self) -> dict[int, float]:
-        total = self.total_time
+        total = self.clock
         occ: dict[int, float] = {}
         for s, r in zip(self.states, self.residences):
             occ[s] = occ.get(s, 0.0) + r / total
@@ -133,7 +138,7 @@ def sample_exit(graph: RateGraph, i: int, rng: np.random.Generator) -> tuple[flo
 
 
 def run_kmc(graph: RateGraph, start: int, horizon: float,
-            rng: np.random.Generator) -> JumpTrajectory:
+            rng: np.random.Generator) -> StateToStateTrajectory:
     """Iterate exit events from ``start`` until total residence >= horizon.
 
     The final residence is truncated at the horizon.  Reaching an absorbing
@@ -141,7 +146,7 @@ def run_kmc(graph: RateGraph, start: int, horizon: float,
     """
     if start not in graph.states:
         raise ValueError("start state %d not in graph" % start)
-    traj = JumpTrajectory()
+    traj = StateToStateTrajectory()
     state = start
     clock = 0.0
     while clock < horizon:

@@ -1,6 +1,7 @@
-"""Eyring-Kramers rate formulas: harmonic prefactors for the Langevin,
-overdamped Langevin and generalized-saddle flavors, exit-law asymptotics,
-and the temperature-extrapolation factors used by TAD.
+"""Eyring-Kramers rate formulas for the overdamped Langevin dynamics:
+harmonic prefactors for the overdamped and generalized-saddle flavors,
+exit-law asymptotics, and the temperature-extrapolation factors used by
+TAD.
 
 All quantities depend on V only through local data at the interior
 minimum and the boundary points, so rates are unchanged by any bias that
@@ -20,7 +21,6 @@ import numpy as np
 from .potentials import PotentialSurface, StateGeometry
 
 __all__ = [
-    "FLAVOR_LANGEVIN",
     "FLAVOR_OVERDAMPED",
     "FLAVOR_GENERALIZED",
     "FLAVOR_REAL_SADDLE",
@@ -29,7 +29,6 @@ __all__ = [
     "HessianSignatureError",
     "NotAGeneralizedSaddleError",
     "prefactor_overdamped",
-    "prefactor_langevin",
     "prefactor_generalized",
     "prefactor_real_saddle",
     "rate_table",
@@ -37,7 +36,6 @@ __all__ = [
     "tad_theta",
 ]
 
-FLAVOR_LANGEVIN = "langevin"
 FLAVOR_OVERDAMPED = "overdamped"
 FLAVOR_GENERALIZED = "generalized-saddle"
 # announced from formal expansions only; exposed but flagged experimental
@@ -74,22 +72,6 @@ def prefactor_overdamped(surface: PotentialSurface, x1, z) -> float:
     lam_minus = abs(ez[ez < 0][0])
     return float(lam_minus * math.sqrt(np.prod(e1))
                  / (2.0 * math.pi * math.sqrt(abs(np.prod(ez)))))
-
-
-def prefactor_langevin(surface: PotentialSurface, x1, z, gamma: float) -> float:
-    """nu = (sqrt(gamma^2 + 4 |lambda^-|) - gamma) / (4 pi) * det ratio.
-
-    Assumes unit mass tensor.  gamma -> infinity recovers the overdamped
-    prefactor after the time rescaling (gamma * nu_L -> nu_OL); gamma = 0
-    is the frictionless limit.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    e1 = _checked_eigvals(surface, x1, 0, "minimum")
-    ez = _checked_eigvals(surface, z, 1, "saddle")
-    lam_minus = abs(ez[ez < 0][0])
-    front = (math.sqrt(gamma * gamma + 4.0 * lam_minus) - gamma) / (4.0 * math.pi)
-    return float(front * math.sqrt(np.prod(e1)) / math.sqrt(abs(np.prod(ez))))
 
 
 def prefactor_real_saddle(surface: PotentialSurface, x1, z) -> float:
@@ -179,7 +161,7 @@ class RateTable:
 
 
 def rate_table(surface: PotentialSurface, geometry: StateGeometry, beta: float,
-               flavor: str = FLAVOR_GENERALIZED, gamma: Optional[float] = None,
+               flavor: str = FLAVOR_GENERALIZED,
                boundary_curvatures: Optional[Sequence[Optional[float]]] = None) -> RateTable:
     """Rates for every exit region of ``geometry`` under the given flavor."""
     x1 = geometry.interior_min
@@ -189,10 +171,6 @@ def rate_table(surface: PotentialSurface, geometry: StateGeometry, beta: float,
         barrier = float(surface.energy(z)) - v0
         if flavor == FLAVOR_OVERDAMPED:
             nu = prefactor_overdamped(surface, x1, z)
-        elif flavor == FLAVOR_LANGEVIN:
-            if gamma is None:
-                raise ValueError("Langevin flavor needs gamma")
-            nu = prefactor_langevin(surface, x1, z, gamma)
         elif flavor == FLAVOR_GENERALIZED:
             if not geometry.normals:
                 raise ValueError("generalized flavor needs outward normals")
@@ -207,13 +185,13 @@ def rate_table(surface: PotentialSurface, geometry: StateGeometry, beta: float,
 
 
 def exit_law_asymptotic(geometry: StateGeometry, surface: PotentialSurface,
-                        beta: float, flavor: str = FLAVOR_GENERALIZED,
-                        gamma: Optional[float] = None) -> tuple[float, np.ndarray]:
+                        beta: float, flavor: str = FLAVOR_GENERALIZED
+                        ) -> tuple[float, np.ndarray]:
     """(lambda1 estimate, exit probabilities per region): lambda1 = sum k_j,
     P(region i) = k_i / sum k_j."""
     if not geometry.boundary_minima:
         raise ValueError("geometry has no boundary minima")
-    table = rate_table(surface, geometry, beta, flavor, gamma)
+    table = rate_table(surface, geometry, beta, flavor)
     return table.total_rate, table.exit_probabilities()
 
 

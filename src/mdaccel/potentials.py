@@ -24,6 +24,7 @@ __all__ = [
     "make_entropic_channel_2d",
     "make_quadratic_bowl",
     "make_flat",
+    "make_tilted_1d",
     "make_bump_bias",
     "biased_surface",
     "find_critical_points",

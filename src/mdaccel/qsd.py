@@ -9,12 +9,12 @@ the Fleming-Viot process doubles as the decorrelation-time estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicsParams, OverdampedBatch, substream
+from .dynamics import BudgetExhaustedError, DynamicsParams, OverdampedBatch, substream
 from .potentials import PotentialSurface
 from .statemap import StateDefinition, exit_mask, make_labeler
 
@@ -24,9 +24,7 @@ __all__ = [
     "QsdEstimate",
     "EnsembleExtinctionError",
     "DiagnosticTimeoutError",
-    "DephasingBudgetError",
     "default_observables",
-    "fleming_viot_step",
     "estimate_qsd",
     "dephase_by_rejection",
 ]
@@ -36,15 +34,11 @@ class EnsembleExtinctionError(Exception):
     """Every replica left the state in the same step."""
 
 
-class DephasingBudgetError(Exception):
-    """Rejection sampling exhausted its restart budget."""
+class DiagnosticTimeoutError(BudgetExhaustedError):
+    """Time budget exhausted before convergence; carries the partial estimate."""
 
-
-class DiagnosticTimeoutError(Exception):
-    """Budget exhausted before convergence; carries the partial estimate."""
-
-    def __init__(self, partial: "QsdEstimate"):
-        super().__init__("Gelman-Rubin diagnostic did not converge within budget")
+    def __init__(self, partial: "QsdEstimate", max_time: float):
+        super().__init__("Gelman-Rubin diagnostic", "time %g" % max_time)
         self.partial = partial
 
 
@@ -147,12 +141,6 @@ class FvEnsemble:
         return snaps
 
 
-def fleming_viot_step(ensemble: FvEnsemble) -> FvEnsemble:
-    """Advance the Fleming-Viot process by one step (see FvEnsemble.step)."""
-    ensemble.step()
-    return ensemble
-
-
 def estimate_qsd(
     surface: PotentialSurface,
     params: DynamicsParams,
@@ -205,7 +193,8 @@ def estimate_qsd(
             return QsdEstimate(ensemble.positions.copy(), ensemble.elapsed,
                                ensemble.kill_count, ensemble.elapsed)
     raise DiagnosticTimeoutError(QsdEstimate(
-        ensemble.positions.copy(), ensemble.elapsed, ensemble.kill_count, ensemble.elapsed))
+        ensemble.positions.copy(), ensemble.elapsed, ensemble.kill_count, ensemble.elapsed),
+        max_time)
 
 
 def _dephase_lanes(surface: PotentialSurface, params: DynamicsParams,
@@ -226,7 +215,8 @@ def _dephase_lanes(surface: PotentialSurface, params: DynamicsParams,
             bad = idx[exited]
             restarts += bad.size
             if restarts > max_restarts * L:
-                raise DephasingBudgetError("acceptance too low: %d restarts" % restarts)
+                raise BudgetExhaustedError("dephasing restart",
+                                           "%d restarts per lane" % max_restarts)
             batch.x[bad] = anchors[bad]
             ok[bad] = 0
         finished = ok[idx] >= n_tau

@@ -12,13 +12,13 @@ only as a negative control).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .accel import StateToStateTrajectory
-from .dynamics import DynamicsParams, OverdampedBatch, substream
+from .dynamics import BudgetExhaustedError, DynamicsParams, OverdampedBatch, substream
+from .kmc import StateToStateTrajectory
 from .potentials import PotentialSurface
 from .statemap import OUTSIDE, StateDefinition, make_labeler
 
@@ -26,8 +26,6 @@ __all__ = [
     "Segment",
     "SegmentDatabase",
     "StarvationError",
-    "SegmentBudgetError",
-    "produce_segment",
     "produce_segments",
     "splice",
     "frequency_predictor",
@@ -41,10 +39,6 @@ class StarvationError(Exception):
     def __init__(self, state: int):
         super().__init__("no segment available for state %d" % state)
         self.state = state
-
-
-class SegmentBudgetError(Exception):
-    """Segment production exceeded its step budget."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ def produce_segments(
         lab = labeler(batch.step(idx))
         k += 1
         if k > max_steps:
-            raise SegmentBudgetError("segment production budget exhausted")
+            raise BudgetExhaustedError("segment production", "%d steps per segment" % max_steps)
         c = cur[idx]
         if ignore_outside:
             lab = np.where(lab == OUTSIDE, c, lab)
@@ -189,24 +183,6 @@ def produce_segments(
                                       tuple(paths[j]), int(generation_indices[j]))
             idx = idx[~finished]
     return segments  # type: ignore[return-value]
-
-
-def produce_segment(
-    surface: PotentialSurface,
-    params: DynamicsParams,
-    definition: StateDefinition,
-    start_state: int,
-    start: np.ndarray,
-    tau_corr: float,
-    generation_index: int,
-    master_seed: int,
-    labeler: Optional[Callable] = None,
-    seed_namespace: int = 0,
-) -> Segment:
-    """One QSD-to-QSD segment from a quasi-stationary sample of start_state."""
-    return produce_segments(surface, params, definition, start_state,
-                            np.atleast_2d(start), tau_corr, [generation_index],
-                            master_seed, labeler, seed_namespace)[0]
 
 
 def splice(db: SegmentDatabase, start_state: int, horizon: float,

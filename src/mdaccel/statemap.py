@@ -13,7 +13,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DynamicsParams, OverdampedBatch, WalkerState, step_overdamped
 from .potentials import (CriticalPoint, PotentialSurface, StateGeometry,
                          find_critical_points, newton_polish)
 
@@ -26,12 +25,10 @@ __all__ = [
     "ExitEvent",
     "MinimaRegistry",
     "ClassificationTimeoutError",
-    "NoExitWithinBudgetError",
     "classify",
     "make_labeler",
     "exit_mask",
     "attribute_exit_region",
-    "detect_exit",
 ]
 
 OUTSIDE = -1
@@ -44,14 +41,6 @@ _KINDS = (BASIN, CORE_SET, EXPLICIT_REGION)
 
 class ClassificationTimeoutError(Exception):
     """Gradient descent exceeded its iteration budget."""
-
-
-class NoExitWithinBudgetError(Exception):
-    """No exit observed within the step budget."""
-
-    def __init__(self, steps: int):
-        super().__init__("no exit within %d steps" % steps)
-        self.steps = steps
 
 
 @dataclass
@@ -74,13 +63,6 @@ class MinimaRegistry:
         self.positions.append(position.copy())
         return len(self.positions) - 1
 
-    def lookup(self, position: np.ndarray) -> Optional[int]:
-        position = np.atleast_1d(np.asarray(position, dtype=float))
-        for i, p in enumerate(self.positions):
-            if np.linalg.norm(p - position) < self.merge_tol:
-                return i
-        return None
-
 
 @dataclass
 class StateDefinition:
@@ -88,8 +70,9 @@ class StateDefinition:
 
     ``regions`` is used by the core-set and explicit-region kinds: a list of
     open intervals ``(lo, hi)`` in 1d or boxes ``((xlo, xhi), (ylo, yhi))``
-    in 2d, all of one dimension and disjoint (regions that only touch, such
-    as (-1, 0) and (0, 1), are allowed; overlapping ones raise ValueError).
+    in 2d, all of one dimension, nonempty (lo < hi on every axis) and
+    disjoint (regions that only touch, such as (-1, 0) and (0, 1), are
+    allowed; empty or overlapping ones raise ValueError).
     ``scan_box``/``scan_grid`` let the basin kind precompile its 1d basin
     boundaries from a critical-point scan.
     """
@@ -110,6 +93,8 @@ class StateDefinition:
         if len({b.shape for b in bounds}) > 1:
             raise ValueError("regions must all have the same dimension")
         for i, b in enumerate(bounds):
+            if np.any(b[:, 0] >= b[:, 1]):
+                raise ValueError("region %d is empty: lo >= hi" % i)
             for k in range(i):
                 if np.all(np.maximum(b[:, 0], bounds[k][:, 0])
                           < np.minimum(b[:, 1], bounds[k][:, 1])):
@@ -290,32 +275,3 @@ def attribute_exit_region(exit_point: np.ndarray, new_label: int,
     if geometry is not None and geometry.boundary_minima:
         return geometry.nearest_region(exit_point)
     return new_label
-
-
-def detect_exit(walker: WalkerState, surface: PotentialSurface, params: DynamicsParams,
-                definition: StateDefinition, state: int,
-                registry: Optional[MinimaRegistry] = None,
-                geometry: Optional[StateGeometry] = None,
-                max_steps: int = 50_000_000,
-                labeler: Optional[Callable] = None) -> ExitEvent:
-    """Step ``walker`` until it leaves ``state``; classification every step.
-
-    The walker is mutated in place; on return its position is the first
-    recorded out-of-state point.
-    """
-    if labeler is None:
-        labeler = make_labeler(surface, definition, registry)
-    # core-set states are the complement of the *other* core sets: roaming
-    # outside every core set is not an exit, entering a different one is
-    ignore_outside = definition.kind == CORE_SET
-    start = int(labeler(walker.position[None, :])[0])
-    if start != state and not (ignore_outside and start == OUTSIDE):
-        raise ValueError("walker does not start in the requested state")
-    for n in range(1, max_steps + 1):
-        step_overdamped(walker, surface, params)
-        label = int(labeler(walker.position[None, :])[0])
-        if label != state and not (ignore_outside and label == OUTSIDE):
-            region = attribute_exit_region(walker.position, label, geometry)
-            return ExitEvent(exit_time=n * params.dt, exit_point=walker.position.copy(),
-                             region_label=region, first_exit_step=n)
-    raise NoExitWithinBudgetError(max_steps)

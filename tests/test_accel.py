@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mdaccel.accel import (
-    AccelBudgetError,
     HyperConfig,
     InvalidBiasError,
     MissingBoundError,
@@ -16,15 +15,17 @@ from mdaccel.accel import (
     run_accelerated,
     tad_exit_many,
 )
-from mdaccel.dynamics import DynamicsParams, OverdampedBatch, substream
+from mdaccel.dynamics import BudgetExhaustedError, DynamicsParams, OverdampedBatch, substream
 from mdaccel.kmc import RateGraph, sample_exit
-from mdaccel.oracle import chi_square, ks_test, ks_two_sample, qsd_samples_from_solution, solve_ground_state
+from mdaccel.oracle import (chi_square, direct_exit_statistics, ks_test, ks_two_sample,
+                            qsd_samples_from_solution, solve_ground_state)
 from mdaccel.potentials import (
     basin_geometry_1d,
     interval_state_geometry,
     make_bump_bias,
 )
-from mdaccel.qsd import DephasingBudgetError
+from mdaccel.qsd import dephase_by_rejection
+from mdaccel.splice import produce_segments
 from mdaccel.statemap import EXPLICIT_REGION, StateDefinition, exit_mask, make_labeler
 
 UNIT_INTERVAL = StateDefinition(kind=EXPLICIT_REGION, regions=[(0.0, 1.0)])
@@ -69,6 +70,26 @@ def test_parrep_scheduling_independence(flat_1d):
     assert np.array_equal(outs[0][3], outs[1][3])
 
 
+def test_parrep_fleming_viot_reuse_is_block_independent(flat_1d):
+    # replicas dephased by a Fleming-Viot ensemble grown from the reference
+    # walker's end point (Binder, Lelievre and Simpson, J. Comput. Phys.
+    # 284, 2015): each event owns its ensemble's streams, so block packing
+    # cannot change the result
+    params = DynamicsParams(beta=1.0, dt=5e-4)
+    cfg = ParRepConfig(n_replicas=4, tau_corr=0.01, dephasing="fleming-viot-reuse")
+    outs = []
+    for block in (3, 50):
+        stats, info = parrep_exit_many(flat_1d, params, UNIT_INTERVAL, 0,
+                                       np.array([0.5]), cfg, 20, master_seed=71,
+                                       block=block)
+        outs.append((stats.exit_times, stats.exit_points, stats.region_labels,
+                     info["winner_index"], info["parallel_sweeps"], info["wall_steps"]))
+    for a, b in zip(*outs):
+        assert np.array_equal(a, b)
+    x = outs[0][1][:, 0]
+    assert np.all((x <= 0.0) | (x >= 1.0))
+
+
 @pytest.mark.slow
 def test_parrep_exit_times_match_direct_distribution(flat_1d):
     # from QSD starts the accelerated exit-time law equals the direct one
@@ -81,7 +102,6 @@ def test_parrep_exit_times_match_direct_distribution(flat_1d):
     cfg = ParRepConfig(n_replicas=8, tau_corr=0.0, dephasing="pool", pool=pool)
     acc, _ = parrep_exit_many(flat_1d, params, UNIT_INTERVAL, 0, starts, cfg,
                               400, master_seed=73)
-    from mdaccel.oracle import direct_exit_statistics
     ref = direct_exit_statistics(flat_1d, params, UNIT_INTERVAL, 0, starts,
                                  400, master_seed=79)
     assert ks_two_sample(acc.exit_times, ref.exit_times) > 1e-3
@@ -172,7 +192,7 @@ def test_equilibration_restart_budget_raises_dephasing_budget_error(flat_1d):
     # outside the state every step exits, until the restart budget runs out
     cfg = HyperConfig(bias=make_bump_bias(center=[0.5], width=0.1, height=0.1),
                       tau_corr=0.01)
-    with pytest.raises(DephasingBudgetError):
+    with pytest.raises(BudgetExhaustedError, match="dephasing"):
         hyper_exit_many(flat_1d, DynamicsParams(beta=1.0, dt=1e-3), UNIT_INTERVAL, 0,
                         np.array([2.0]), cfg, 1, master_seed=109)
 
@@ -285,3 +305,34 @@ def test_direct_exit_returns_event(flat_1d):
                      DynamicsParams(beta=1.0, dt=1e-3), UNIT_INTERVAL, 137)
     assert ev.exit_time == pytest.approx(ev.first_exit_step * 1e-3)
     assert ev.exit_point[0] <= 0.0 or ev.exit_point[0] >= 1.0
+
+
+_FLAT = DynamicsParams(beta=1.0, dt=1e-3)
+_NO_BIAS = make_bump_bias(center=[0.5], width=0.1, height=0.0)
+
+
+@pytest.mark.parametrize("phase, run", [
+    ("ParRep parallel-step", lambda flat: parrep_exit_many(
+        flat, _FLAT, UNIT_INTERVAL, 0, np.array([0.5]),
+        ParRepConfig(n_replicas=2, max_steps=1), 1, master_seed=1)),
+    ("Hyperdynamics biased-run", lambda flat: hyper_exit_many(
+        flat, _FLAT, UNIT_INTERVAL, 0, np.array([0.5]),
+        HyperConfig(bias=_NO_BIAS, max_steps=1), 1, master_seed=1)),
+    ("TAD high-temperature", lambda flat: tad_exit_many(
+        flat, _FLAT, UNIT_INTERVAL, 0, np.array([0.5]),
+        TadConfig(beta_hi=1.0, beta_lo=1.0, min_barrier=0.0, max_steps=1), 1,
+        master_seed=1, geometry=interval_state_geometry(flat, 0.0, 1.0))),
+    ("direct simulation", lambda flat: direct_exit_statistics(
+        flat, _FLAT, UNIT_INTERVAL, 0, np.array([0.5]), 4, master_seed=1,
+        max_steps=10, lanes=4)),
+    ("dephasing restart", lambda flat: dephase_by_rejection(
+        flat, _FLAT, StateDefinition(kind=EXPLICIT_REGION, regions=[(0.0, 1e-3)]), 0,
+        np.array([5e-4]), tau=1.0, count=2, master_seed=1, max_restarts=3)),
+    ("segment production", lambda flat: produce_segments(
+        flat, _FLAT, UNIT_INTERVAL, 0, np.array([[0.5]]), 1.0, [0], master_seed=1,
+        max_steps=1)),
+], ids=["parrep", "hyper", "tad", "direct", "dephasing", "segments"])
+def test_exhausted_budget_raises_one_error_naming_its_phase(flat_1d, phase, run):
+    with pytest.raises(BudgetExhaustedError, match=phase) as exc:
+        run(flat_1d)
+    assert exc.value.phase == phase

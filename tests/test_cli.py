@@ -130,7 +130,9 @@ def test_compare_detects_broken_clock(tmp_path, capsys):
     ("name = direct", "name = parrep\ntau_corr = adaptive", "[method] tau_corr"),
     ("kind = basin-of-attraction\nscan_box = -2 2",
      "kind = core-set\nregions = -1.5 -0.5; -0.8 1.0", "[state] regions"),
-], ids=["horizon", "n_replicas", "tau_corr", "overlapping_regions"])
+    ("kind = basin-of-attraction\nscan_box = -2 2",
+     "kind = core-set\nregions = -0.7 -1.3; 0.7 1.3", "[state] regions"),
+], ids=["horizon", "n_replicas", "tau_corr", "overlapping_regions", "empty_region"])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, old, new, key):
     cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new), name="bad.ini")
     out = str(tmp_path / "never")
@@ -140,6 +142,20 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, old, new, key):
     if "adaptive" in new:
         assert "command line" in err
     assert not os.path.exists(out)
+
+
+def test_fleming_viot_reuse_dephasing_runs_and_reruns_byte_identical(tmp_path):
+    fv = BASE_CONFIG.replace(
+        "name = direct",
+        "name = parrep\nn_replicas = 4\ntau_corr = 0.05\ndephasing = fleming-viot-reuse").replace(
+        "horizon = 200", "horizon = 50")
+    cfg = write_config(tmp_path, fv, name="fv.ini")
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["run", cfg, "--out", out_a]) == 0
+    assert main(["run", cfg, "--out", out_b]) == 0
+    for name in ("events.csv", "trajectory.csv", "summary.json", "manifest.json"):
+        assert read_bytes(out_a, name) == read_bytes(out_b, name)
+    assert json.loads(read_bytes(out_a, "summary.json"))["n_events"] >= 2
 
 
 def test_tad_run_scans_critical_points_once(tmp_path, monkeypatch):

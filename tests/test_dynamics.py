@@ -8,10 +8,8 @@ from mdaccel.dynamics import (
     IntegratorDivergenceError,
     OverdampedBatch,
     WalkerState,
-    step_langevin,
     step_overdamped,
     substream,
-    walker_rng,
     _LaneNoise,
 )
 from mdaccel.potentials import make_flat, make_quadratic_bowl, make_tilted_1d
@@ -20,7 +18,7 @@ from mdaccel.potentials import make_flat, make_quadratic_bowl, make_tilted_1d
 def test_zero_temperature_limit_flat_potential():
     flat = make_flat(1)
     params = DynamicsParams(beta=1e12, dt=1e-3)
-    w = WalkerState(np.array([0.3]), walker_rng(5))
+    w = WalkerState(np.array([0.3]), substream(5, 0))
     for _ in range(50):
         x0 = w.position.copy()
         step_overdamped(w, flat, params)
@@ -50,7 +48,7 @@ def test_fixed_seed_reproducible():
     params = DynamicsParams(beta=1.0, dt=1e-3)
     out = []
     for _ in range(2):
-        w = WalkerState(np.array([0.5, -0.5]), walker_rng(123, 7))
+        w = WalkerState(np.array([0.5, -0.5]), substream(123, 7))
         for _ in range(100):
             step_overdamped(w, bowl, params)
         out.append(w.position.copy())
@@ -60,7 +58,7 @@ def test_fixed_seed_reproducible():
 def test_clock_accumulates():
     flat = make_flat(1)
     params = DynamicsParams(beta=1.0, dt=1e-3)
-    w = WalkerState(np.array([0.0]), walker_rng(0))
+    w = WalkerState(np.array([0.0]), substream(0, 0))
     for _ in range(10):
         step_overdamped(w, flat, params)
     assert w.clock == pytest.approx(10 * params.dt)
@@ -82,69 +80,16 @@ def test_divergence_error():
         def hess(self, x):
             return tilted.hess(x)
 
-    w = WalkerState(np.array([0.0]), walker_rng(1))
+    w = WalkerState(np.array([0.0]), substream(1, 0))
     with pytest.raises(IntegratorDivergenceError):
         step_overdamped(w, Bad(), DynamicsParams(beta=1.0, dt=1e-3))
-
-
-def test_langevin_equipartition():
-    bowl = make_quadratic_bowl(dim=1, curvature=1.0)
-    beta = 2.0
-    params = DynamicsParams(beta=beta, dt=1e-2, gamma=1.0)
-    rng = walker_rng(3)
-    w = WalkerState(np.array([0.0]), rng, momentum=np.array([0.0]))
-    ke = []
-    for k in range(60000):
-        step_langevin(w, bowl, params)
-        if k > 5000 and k % 10 == 0:
-            ke.append(0.5 * w.momentum[0] ** 2)
-    ke = np.array(ke)
-    target = 1.0 / (2.0 * beta)
-    se = ke.std() / np.sqrt(len(ke) / 20.0)  # crude autocorrelation discount
-    assert abs(ke.mean() - target) < 3 * se + 0.01 * target
-
-
-def test_langevin_deterministic_limit_energy_drift():
-    # no noise, no friction: BAOAB reduces to velocity Verlet, energy drift O(dt^2)
-    bowl = make_quadratic_bowl(dim=1, curvature=1.0)
-    drifts = []
-    for dt in (1e-2, 5e-3):
-        params = DynamicsParams(beta=1e30, dt=dt, gamma=0.0)
-        w = WalkerState(np.array([1.0]), walker_rng(0), momentum=np.array([0.0]))
-        e0 = float(bowl.energy(w.position)) + 0.5 * w.momentum[0] ** 2
-        emax = 0.0
-        for _ in range(int(round(10.0 / dt))):
-            step_langevin(w, bowl, params)
-            e = float(bowl.energy(w.position)) + 0.5 * w.momentum[0] ** 2
-            emax = max(emax, abs(e - e0))
-        drifts.append(emax)
-    assert drifts[0] < 1e-3
-    assert drifts[1] < drifts[0] / 2.0  # shrinks at least linearly, dt^2 in practice
-
-
-def test_langevin_high_friction_matches_overdamped_statistics():
-    bowl = make_quadratic_bowl(dim=1, curvature=1.0)
-    beta = 1.0
-    gamma = 5.0
-    # overdamped limit after time rescaling: position variance -> 1/beta.
-    # position relaxation slows like gamma, so this is a qualitative check
-    params = DynamicsParams(beta=beta, dt=5e-3, gamma=gamma)
-    rng = walker_rng(9)
-    w = WalkerState(np.array([0.0]), rng, momentum=np.array([0.0]))
-    xs = []
-    for k in range(300000):
-        step_langevin(w, bowl, params)
-        if k % 20 == 0:
-            xs.append(w.position[0])
-    var = np.var(xs)
-    assert abs(var - 1.0 / beta) < 0.25
 
 
 def test_ergodic_average_quadratic():
     bowl = make_quadratic_bowl(dim=1, curvature=1.0)
     beta = 4.0
     params = DynamicsParams(beta=beta, dt=5e-3)
-    w = WalkerState(np.array([0.0]), walker_rng(21))
+    w = WalkerState(np.array([0.0]), substream(21, 0))
     acc = 0.0
     n = 200000
     for _ in range(n):

@@ -14,10 +14,13 @@ import pytest
 
 from mdaccel import accel
 from mdaccel.dynamics import DynamicsParams
-from mdaccel.potentials import make_bump_bias, make_double_well_1d, make_muller_brown_2d
+from mdaccel.oracle import direct_exit_statistics
+from mdaccel.potentials import (basin_geometry_1d, interval_state_geometry, make_bump_bias,
+                                make_double_well_1d, make_muller_brown_2d)
 from mdaccel.qsd import dephase_by_rejection
 from mdaccel.splice import produce_segments
-from mdaccel.statemap import CORE_SET, EXPLICIT_REGION, StateDefinition, make_labeler
+from mdaccel.statemap import (BASIN, CORE_SET, EXPLICIT_REGION, MinimaRegistry,
+                              StateDefinition, make_labeler)
 
 MB_CORES = [((-0.62, -0.50), (1.38, 1.50)),
             ((0.55, 0.70), (0.00, 0.06)),
@@ -26,6 +29,8 @@ MB_CORES = [((-0.62, -0.50), (1.38, 1.50)),
 GOLDEN = {
     "mb2d_dephase_produce": "6697f0b26a33671e59b3fede237bd2e3ab334f5f70cb87a43870fa286726ca69",
     "dw_parrep_hyper": "249769ecff9beae2637be276d0ff7da7af57568b299db4c01ac4126ca3e0d4c4",
+    "dw_direct_statistics": "ae627ec587aec36441aa9a834491a1aafb787b1c2919bd8e5f196a60d281a5c6",
+    "dw_core_set_direct_run": "296f9d80e47cb8ef0171ba803b0f16e8d86c879d520e505aeeb0308bee4055b8",
 }
 
 
@@ -76,7 +81,33 @@ def _dw_parrep_hyper() -> str:
                    *(pinfo[k] for k in sorted(pinfo)), *(hinfo[k] for k in sorted(hinfo)))
 
 
+def _dw_direct_statistics() -> str:
+    # more events than lanes, so that lanes refill from the event queue and
+    # then drain once it is empty
+    dw = make_double_well_1d()
+    definition = StateDefinition(kind=BASIN, scan_box=[(-3.0, 3.0)])
+    labeler = make_labeler(dw, definition, MinimaRegistry())
+    geom = basin_geometry_1d(dw, np.array([-1.0]), (-3.0, 3.0))
+    init = np.array([[-1.0], [-0.8], [-1.2]])
+    stats = direct_exit_statistics(dw, DynamicsParams(beta=3.0, dt=5e-3), definition, 0,
+                                   init, 64, master_seed=31, geometry=geom,
+                                   labeler=labeler, lanes=16)
+    return _digest(stats.exit_times, stats.exit_points, stats.region_labels)
+
+
+def _dw_core_set_direct_run() -> str:
+    dw = make_double_well_1d()
+    regions = [(-1.3, -0.7), (0.7, 1.3)]
+    definition = StateDefinition(kind=CORE_SET, regions=regions)
+    geometries = {i: interval_state_geometry(dw, a, b) for i, (a, b) in enumerate(regions)}
+    traj = accel.run_accelerated(dw, DynamicsParams(beta=2.0, dt=5e-3), definition, "direct",
+                                 100.0, 41, np.array([-1.0]), geometries=geometries)
+    return _digest(traj.states, traj.residences, traj.exit_regions, traj.records)
+
+
 @pytest.mark.parametrize("name, run", [("mb2d_dephase_produce", _mb2d_dephase_produce),
-                                       ("dw_parrep_hyper", _dw_parrep_hyper)])
+                                       ("dw_parrep_hyper", _dw_parrep_hyper),
+                                       ("dw_direct_statistics", _dw_direct_statistics),
+                                       ("dw_core_set_direct_run", _dw_core_set_direct_run)])
 def test_fixed_seed_outputs_match_golden_digest(name, run):
     assert run() == GOLDEN[name]

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from mdaccel.dynamics import substream
-from mdaccel.kmc import AbsorbingStateError, JumpTrajectory, RateGraph, run_kmc, sample_exit
+from mdaccel.kmc import AbsorbingStateError, RateGraph, StateToStateTrajectory, run_kmc, sample_exit
 from mdaccel.oracle import ks_test
 
 from conftest import three_sigma_fraction
@@ -77,7 +77,7 @@ def test_occupation_fractions_symmetric():
     occ = traj.occupation_fractions()
     assert abs(occ[0] - 0.5) < 0.02
     assert abs(occ[1] - 0.5) < 0.02
-    assert traj.total_time == pytest.approx(5000.0)
+    assert traj.clock == pytest.approx(5000.0)
     assert not traj.absorbed
 
 
@@ -87,7 +87,7 @@ def test_absorbing_state_flag():
     traj = run_kmc(g, 0, horizon=100.0, rng=substream(29, 0))
     assert traj.absorbed
     assert traj.states[-1] == 1
-    assert traj.total_time == pytest.approx(100.0)
+    assert traj.clock == pytest.approx(100.0)
     with pytest.raises(AbsorbingStateError):
         sample_exit(g, 1, substream(29, 1))
 
@@ -147,7 +147,7 @@ def test_rate_validation():
 
 
 def test_trajectory_reconstruction():
-    traj = JumpTrajectory()
+    traj = StateToStateTrajectory()
     traj.append(0, 1.0)
     traj.append(1, 2.0)
     assert traj.state_at(0.5) == 0

@@ -6,14 +6,12 @@ import pytest
 from mdaccel.dynamics import DynamicsParams
 from mdaccel.kramers import (
     FLAVOR_GENERALIZED,
-    FLAVOR_LANGEVIN,
     FLAVOR_OVERDAMPED,
     FLAVOR_REAL_SADDLE,
     HessianSignatureError,
     NotAGeneralizedSaddleError,
     exit_law_asymptotic,
     prefactor_generalized,
-    prefactor_langevin,
     prefactor_overdamped,
     prefactor_real_saddle,
     rate_table,
@@ -72,24 +70,6 @@ def test_muller_brown_prefactor_against_fd_hessian():
     ez = np.linalg.eigvalsh(fd_hess(z))
     nu_fd = abs(ez[0]) * math.sqrt(np.prod(e1)) / (2 * math.pi * math.sqrt(abs(np.prod(ez))))
     assert nu == pytest.approx(nu_fd, rel=1e-4)
-
-
-def test_langevin_prefactor_limits(double_well):
-    x1, z = np.array([1.0]), np.array([0.0])
-    nu_od = prefactor_overdamped(double_well, x1, z)
-    # high friction: gamma * nu_L -> nu_OL (after the time rescaling)
-    gamma = 1e6
-    assert gamma * prefactor_langevin(double_well, x1, z, gamma) == \
-        pytest.approx(nu_od, rel=1e-5)
-    # frictionless: nu = sqrt(|lambda^-|) / (2 pi) * det ratio
-    nu0 = prefactor_langevin(double_well, x1, z, 0.0)
-    lam = 4.0  # |V''(0)|
-    assert nu0 == pytest.approx(math.sqrt(lam) / (2 * math.pi) * math.sqrt(8.0 / 4.0),
-                                rel=1e-12)
-    # explicit value at gamma = 1
-    nu1 = prefactor_langevin(double_well, x1, z, 1.0)
-    expect = (math.sqrt(1.0 + 16.0) - 1.0) / (4 * math.pi) * math.sqrt(2.0)
-    assert nu1 == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.slow
@@ -209,10 +189,8 @@ def test_signature_errors(double_well):
         # inward-pointing gradient: dV/dn < 0 at x = -1.6 with normal +1
         prefactor_generalized(double_well, np.array([-1.0]), np.array([-0.4]),
                               np.array([-1.0]), beta=2.0)
-    with pytest.raises(ValueError):
-        prefactor_langevin(double_well, np.array([1.0]), np.array([0.0]), -1.0)
     geom = basin_geometry_1d(double_well, np.array([-1.0]), (-3.0, 3.0))
     with pytest.raises(ValueError):
         rate_table(double_well, geom, beta=1.0, flavor="nonsense")
     with pytest.raises(ValueError):
-        rate_table(double_well, geom, beta=1.0, flavor=FLAVOR_LANGEVIN)
+        rate_table(double_well, geom, beta=1.0, flavor="langevin")  # overdamped only

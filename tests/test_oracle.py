@@ -14,7 +14,6 @@ from mdaccel.oracle import (
     independence_table,
     ks_test,
     ks_two_sample,
-    qsd_from_spectrum,
     qsd_samples_from_solution,
     solve_ground_state,
 )
@@ -44,7 +43,7 @@ def test_flat_interval_spectral_gap(flat_1d):
 
 def test_flat_qsd_profile_and_normalization(flat_1d):
     sol = solve_ground_state(flat_1d, (0.0, 1.0), 1.0, 1.0 / 400)
-    u = qsd_from_spectrum(sol)
+    u = sol.u1
     x = sol.axes[0]
     assert abs(u.sum() * sol.h - 1.0) < 1e-12
     ref = np.sin(math.pi * x) * math.pi / 2.0

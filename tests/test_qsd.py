@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from mdaccel.dynamics import DynamicsParams, OverdampedBatch, substream
+from mdaccel.dynamics import BudgetExhaustedError, DynamicsParams, OverdampedBatch, substream
 from mdaccel.oracle import ks_test, solve_ground_state
 from mdaccel.potentials import make_flat, make_quadratic_bowl
 from mdaccel.qsd import (
-    DephasingBudgetError,
     DiagnosticTimeoutError,
     EnsembleExtinctionError,
     FvEnsemble,
@@ -13,7 +12,6 @@ from mdaccel.qsd import (
     dephase_by_rejection,
     default_observables,
     estimate_qsd,
-    fleming_viot_step,
 )
 from mdaccel.statemap import EXPLICIT_REGION, StateDefinition
 
@@ -31,7 +29,8 @@ def test_no_exit_matches_plain_stepping_bitwise(flat_1d):
     ref = OverdampedBatch(flat_1d, params, starts.copy(),
                           [substream(7, i) for i in range(n)])
     for _ in range(200):
-        assert fleming_viot_step(ens).kill_count == 0
+        ens.step()
+        assert ens.kill_count == 0
         ref.step()
     assert np.array_equal(ens.positions, ref.x)
 
@@ -83,6 +82,8 @@ def test_estimate_qsd_timeout_carries_partial(flat_1d):
     with pytest.raises(DiagnosticTimeoutError) as exc:
         estimate_qsd(flat_1d, DynamicsParams(beta=1.0, dt=1e-3), UNIT_INTERVAL,
                      0, 16, diag, np.array([0.5]), master_seed=5, max_time=0.1)
+    assert isinstance(exc.value, BudgetExhaustedError)
+    assert "Gelman-Rubin" in str(exc.value)
     partial = exc.value.partial
     assert partial.samples.shape == (16, 1)
     assert partial.elapsed >= 0.1
@@ -123,7 +124,7 @@ def test_dephase_matches_spectral_qsd(flat_1d):
 
 def test_dephase_budget_error(flat_1d):
     definition = StateDefinition(kind=EXPLICIT_REGION, regions=[(0.0, 1e-3)])
-    with pytest.raises(DephasingBudgetError):
+    with pytest.raises(BudgetExhaustedError, match="dephasing"):
         dephase_by_rejection(flat_1d, DynamicsParams(beta=1.0, dt=1e-3),
                              definition, 0, np.array([5e-4]), tau=1.0,
                              count=4, master_seed=21, max_restarts=50)

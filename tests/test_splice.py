@@ -7,7 +7,6 @@ from mdaccel.splice import (
     SegmentDatabase,
     StarvationError,
     frequency_predictor,
-    produce_segment,
     produce_segments,
     schedule_production,
     splice,
@@ -94,9 +93,9 @@ def test_segments_reproducible_and_producer_independent(double_well, dw_basins):
                               generation_indices=list(range(8)), master_seed=11,
                               labeler=labeler)
     for g in (0, 3, 7):
-        solo = produce_segment(double_well, params, definition, 0,
-                               np.array([-1.0]), 0.05, g, master_seed=11,
-                               labeler=labeler)
+        solo, = produce_segments(double_well, params, definition, 0,
+                                 np.array([-1.0]), 0.05, [g], master_seed=11,
+                                 labeler=labeler)
         assert solo.duration == batch8[g].duration
         assert solo.end_state == batch8[g].end_state
         assert solo.path_summary == batch8[g].path_summary

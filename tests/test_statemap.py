@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdaccel.dynamics import DynamicsParams, WalkerState, walker_rng
+from mdaccel.accel import direct_exit
+from mdaccel.dynamics import DynamicsParams
 from mdaccel.oracle import direct_exit_statistics, exit_law_from_spectrum, solve_ground_state
 from mdaccel.potentials import basin_geometry_1d, interval_state_geometry, make_flat
 from mdaccel.statemap import (
@@ -14,7 +15,6 @@ from mdaccel.statemap import (
     MinimaRegistry,
     StateDefinition,
     classify,
-    detect_exit,
     exit_mask,
     make_labeler,
 )
@@ -101,9 +101,8 @@ def test_double_well_left_basin_single_exit_region(double_well, dw_basins):
     geom = basin_geometry_1d(double_well, np.array([-1.0]), (-3.0, 3.0))
     params = DynamicsParams(beta=3.0, dt=2e-3)
     for seed in range(5):
-        w = WalkerState(np.array([-1.0]), walker_rng(100 + seed))
-        ev = detect_exit(w, double_well, params, definition, 0,
-                         registry=reg, geometry=geom, labeler=labeler)
+        ev = direct_exit(0, np.array([-1.0]), double_well, params, definition,
+                         100 + seed, geometry=geom, labeler=labeler)
         assert ev.region_label == 0  # the single saddle region
         assert ev.exit_time == pytest.approx(ev.first_exit_step * params.dt)
         # re-classifying the exit point never returns the departed state
@@ -152,6 +151,13 @@ def test_state_definition_validation():
                         regions=[((0.0, 2.0), (0.0, 2.0)), ((1.0, 3.0), (1.9, 3.0))])
     with pytest.raises(ValueError, match="dimension"):
         StateDefinition(kind=EXPLICIT_REGION, regions=[(0.0, 1.0), ((2.0, 3.0), (0.0, 1.0))])
+    # a region with lo >= hi on any axis contains no point
+    with pytest.raises(ValueError, match="empty"):
+        StateDefinition(kind=CORE_SET, regions=[(-0.7, -1.3), (0.7, 1.3)])
+    with pytest.raises(ValueError, match="empty"):
+        StateDefinition(kind=EXPLICIT_REGION, regions=[(0.5, 0.5)])
+    with pytest.raises(ValueError, match="empty"):
+        StateDefinition(kind=EXPLICIT_REGION, regions=[((0.0, 1.0), (2.0, 1.0))])
     StateDefinition(kind=CORE_SET, regions=[(-1.0, 0.0), (0.0, 1.0)])
     StateDefinition(kind=EXPLICIT_REGION,
                     regions=[((0.0, 2.0), (0.0, 2.0)), ((1.0, 3.0), (2.0, 3.0))])
@@ -189,13 +195,13 @@ def test_rectangle_labeler_matches_classify_on_edges():
 
 @st.composite
 def _disjoint_boxes(draw):
-    """1 to 4 disjoint open boxes in 1d or 2d, on a coarse grid so that
-    shared and touching edges are common."""
+    """1 to 4 disjoint nonempty open boxes in 1d or 2d, on a coarse grid so
+    that shared and touching edges are common."""
     dim = draw(st.sampled_from([1, 2]))
     coord = st.integers(-8, 8).map(lambda v: v / 4.0)
     boxes = []
     for _ in range(draw(st.integers(1, 4))):
-        box = tuple(tuple(sorted(draw(st.lists(coord, min_size=2, max_size=2))))
+        box = tuple(tuple(sorted(draw(st.lists(coord, min_size=2, max_size=2, unique=True))))
                     for _ in range(dim))
         if all(np.any(np.maximum([a[0] for a in box], [b[0] for b in other])
                       >= np.minimum([a[1] for a in box], [b[1] for b in other]))
